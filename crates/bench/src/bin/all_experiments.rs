@@ -13,5 +13,5 @@ use duplo_bench::{cli_from_args, run_all, with_trace};
 
 fn main() {
     let cli = cli_from_args(Some(8));
-    with_trace(&cli, || run_all(&cli, false));
+    with_trace(&cli, |o| run_all(o, false));
 }

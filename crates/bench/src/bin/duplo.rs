@@ -6,7 +6,7 @@
 //! * `duplo run <name|all> [options]` — run one experiment (or every
 //!   registered one) with the shared option set (`--sample`/`--full`,
 //!   `--json`/`--json-dir`, `--cache-dir`/`--no-cache`,
-//!   `--trace`/`--trace-interval`/`--trace-full`, `--trace-in`),
+//!   `--trace`/`--trace-interval`, `--trace-in`),
 //! * `duplo trace summarize <path>` — phase table of a trace file
 //!   written by `--trace`,
 //! * `duplo trace record <name> <out> [options]` — run an experiment and
@@ -23,19 +23,15 @@
 //! * `duplo metrics --addr <host:port> [--json]` — scrape a running
 //!   daemon's `/v1/metrics` registry (Prometheus text, or the JSON
 //!   snapshot with `--json`).
-//!
-//! `duplo run <name>` produces stdout byte-identical to the corresponding
-//! per-figure binary: both resolve the same registry entry and run through
-//! `duplo_bench::run_spec`.
 use duplo_bench::{
-    USAGE, exit_unknown_experiment, parse_cli, record_to_file, run_all, run_bench, run_named,
-    with_replay, with_trace,
+    USAGE, exit_unknown_experiment, parse_cli, record_to_file, run_all, run_named, with_replay,
+    with_trace,
 };
 use duplo_sim::experiments::{find_experiment, registry};
 use duplo_sim::json::Json;
 use duplo_sim::serve;
 
-const COMMANDS: &str = "usage: duplo <command> [args]\n\ncommands:\n  list                       list registered experiments\n  describe <name>            show one experiment's metadata\n  run <name|all> [options]   run an experiment (or every registered one)\n  bench [--out <path>] [options]  run the registry in event-driven and\n                             tick-by-tick reference mode, asserting equal\n                             results, and write the BENCH_duplo.json perf\n                             trajectory (default out: ./BENCH_duplo.json)\n  trace summarize <path>     print a phase table of a --trace file\n  trace record <name> <out> [options]  run an experiment, dumping its\n                             kernels to a wtrace file for --trace-in\n  serve [--addr <host:port>] [--workers N] [--port-file <path>] [options]\n                             start the HTTP simulation service; shared\n                             options become per-submission defaults\n  submit --addr <host:port> <name> [--sample N|--full] [--no-cache]\n         [--tick-reference] [--l2-slices N] [--l2-hash mod|xor] [--trace]\n                             run an experiment on a daemon and print the\n                             response body (--shutdown stops the daemon)\n  metrics --addr <host:port> [--json]\n                             scrape a running daemon's /v1/metrics and\n                             print it (Prometheus text, or the JSON\n                             snapshot with --json)";
+const COMMANDS: &str = "usage: duplo <command> [args]\n\ncommands:\n  list                       list registered experiments\n  describe <name>            show one experiment's metadata\n  run <name|all> [options]   run an experiment (or every registered one)\n  trace summarize <path>     print a phase table of a --trace file\n  trace record <name> <out> [options]  run an experiment, dumping its\n                             kernels to a wtrace file for --trace-in\n  serve [--addr <host:port>] [--workers N] [--port-file <path>] [options]\n                             start the HTTP simulation service; shared\n                             options become per-submission defaults\n  submit --addr <host:port> <name> [--sample N|--full] [--no-cache]\n         [--tick-reference] [--l2-slices N] [--l2-hash mod|xor] [--trace]\n                             run an experiment on a daemon and print the\n                             response body (--shutdown stops the daemon)\n  metrics --addr <host:port> [--json]\n                             scrape a running daemon's /v1/metrics and\n                             print it (Prometheus text, or the JSON\n                             snapshot with --json)";
 
 fn usage_exit(code: i32) -> ! {
     eprintln!("{COMMANDS}\n\n{USAGE}");
@@ -348,7 +344,7 @@ fn main() {
                 if spec.in_all {
                     "yes (all_experiments / EXPERIMENTS.md)"
                 } else {
-                    "no (standalone / duplo run only)"
+                    "no (duplo run only)"
                 }
             );
         }
@@ -361,7 +357,7 @@ fn main() {
             if target == "all" {
                 match parse_cli(rest, Some(8)) {
                     Ok(cli) => {
-                        with_trace(&cli, || with_replay(&cli, || run_all(&cli, true)));
+                        with_trace(&cli, |o| with_replay(o, |o| run_all(o, true)));
                     }
                     Err(msg) => {
                         eprintln!("error: {msg}");
@@ -374,46 +370,12 @@ fn main() {
                 };
                 match parse_cli(rest, spec.default_sample) {
                     Ok(cli) => {
-                        with_trace(&cli, || with_replay(&cli, || run_named(target, &cli)));
+                        with_trace(&cli, |o| with_replay(o, |o| run_named(target, o)));
                     }
                     Err(msg) => {
                         eprintln!("error: {msg}");
                         usage_exit(2);
                     }
-                }
-            }
-        }
-        Some("bench") => {
-            // Split off `--out <path>`; everything else is the shared
-            // option set (sampling defaults to the quick 2-CTA profile so
-            // the committed trajectory regenerates in CI budget).
-            let mut out = std::path::PathBuf::from("BENCH_duplo.json");
-            let mut rest: Vec<String> = Vec::new();
-            let mut i = 1;
-            while i < args.len() {
-                if args[i] == "--out" {
-                    let Some(path) = args.get(i + 1) else {
-                        eprintln!("error: --out requires a value");
-                        usage_exit(2);
-                    };
-                    out = std::path::PathBuf::from(path);
-                    i += 2;
-                } else {
-                    rest.push(args[i].clone());
-                    i += 1;
-                }
-            }
-            match parse_cli(&rest, Some(2)) {
-                Ok(cli) => {
-                    if cli.trace_in.is_some() {
-                        eprintln!("error: --trace-in cannot be combined with bench");
-                        std::process::exit(2);
-                    }
-                    run_bench(&out, &cli);
-                }
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    usage_exit(2);
                 }
             }
         }
@@ -454,7 +416,9 @@ fn main() {
                             std::process::exit(2);
                         }
                         let out_path = std::path::PathBuf::from(out);
-                        with_trace(&cli, || record_to_file(&out_path, || run_named(name, &cli)));
+                        with_trace(&cli, |o| {
+                            record_to_file(&out_path, o, |o| run_named(name, o))
+                        });
                     }
                     Err(msg) => {
                         eprintln!("error: {msg}");

@@ -1,6 +1,6 @@
-//! Support library for the Duplo experiment binaries and benches.
+//! Support library for the `duplo` CLI, `all_experiments`, and the benches.
 //!
-//! Every binary accepts:
+//! Every experiment command accepts:
 //!
 //! * `--sample <N>` — simulate at most `N` CTAs per representative SM and
 //!   scale time linearly (the default for the heaviest sweeps),
@@ -12,13 +12,17 @@
 //! * `--no-cache` — disable run-cache lookups and stores entirely,
 //! * `--trace <path>` — write a Chrome trace-event (Perfetto-loadable)
 //!   timeline of every simulated run to `path` (`--trace-interval <N>`
-//!   tunes the sampling cadence, `--trace-full` adds volatile host-side
-//!   spans; `DUPLO_TRACE` / `DUPLO_TRACE_INTERVAL` / `DUPLO_TRACE_FULL`
+//!   tunes the sampling cadence; `DUPLO_TRACE` / `DUPLO_TRACE_INTERVAL`
 //!   are the environment equivalents — see `duplo_sim::trace`),
 //! * `--trace-in <file>` — replay a recorded wtrace file (see
 //!   `duplo_sim::wtrace`): every generated kernel is swapped for its
 //!   recorded instruction stream before simulation. Record such files
 //!   with `duplo trace record`.
+//!
+//! The command line (with the `DUPLO_*` environment under it) parses into
+//! one `RunOptions` value; tracing and wtrace record/replay are handles
+//! added to a copy of it ([`with_trace`], [`with_replay`],
+//! [`record_to_file`]), so nothing here touches process state.
 //!
 //! All stderr chatter (banners, wall-clock, cache counters, the `run all`
 //! heartbeat) goes through `duplo_sim::log`: `DUPLO_LOG=off` silences it
@@ -29,21 +33,16 @@
 //! the `DUPLO_JSON_DIR` environment variable) and write one file per
 //! experiment plus a `BENCH_duplo.json` roll-up.
 //!
-//! The per-figure binaries are thin wrappers over [`standalone`], which
-//! resolves the experiment in the shared registry
+//! `duplo run <name>` resolves the experiment in the shared registry
 //! (`duplo_sim::experiments::registry`) and runs it under the common
 //! protocol ([`run_spec`]): optional sampling banner, timed run, rendered
-//! table on stdout. The unified `duplo` binary drives the same entry
-//! points, so `duplo run fig09_lhb_size` and the `fig09_lhb_size` binary
-//! produce byte-identical stdout.
+//! table on stdout.
 //!
 //! JSON files normally carry a `host` block (wall-clock seconds, worker
 //! threads, run-cache hit/miss/byte deltas). Setting `DUPLO_JSON_STABLE`
 //! omits it, making the files byte-identical across machines, thread
 //! counts, and cache states — the CI determinism and cache gates diff two
 //! such runs.
-
-use std::path::PathBuf;
 
 use duplo_sim::RunOptions;
 use duplo_sim::cache;
@@ -53,11 +52,12 @@ use duplo_sim::experiments::{
 use duplo_sim::json::Json;
 use duplo_sim::log;
 use duplo_sim::results::{ExperimentResult, rollup};
+use duplo_sim::runner::resolve_threads;
 use duplo_sim::trace;
 use duplo_sim::wtrace;
 
 /// Usage summary printed (with a nonzero exit) on bad arguments.
-pub const USAGE: &str = "options:\n  --sample <N>      simulate at most N CTAs per representative SM (N >= 1)\n  --full            simulate every CTA of each SM's share\n  --json <path>     write the structured result to <path>\n  --json-dir <dir>  write per-experiment JSON files under <dir>\n  --cache-dir <dir> persist the run cache under <dir> (overrides DUPLO_CACHE_DIR)\n  --no-cache        disable the run cache\n  --trace <path>    write a Chrome trace-event timeline to <path> (DUPLO_TRACE)\n  --trace-interval <N>  cycles between trace samples (default 1024; DUPLO_TRACE_INTERVAL)\n  --trace-full      also record volatile host-side spans (DUPLO_TRACE_FULL)\n  --trace-in <file> replay a recorded wtrace file instead of the generators\n                    (record one with `duplo trace record`)\n\nenvironment:\n  DUPLO_LOG=off|info|debug|trace   stderr verbosity (default info)";
+pub const USAGE: &str = "options:\n  --sample <N>      simulate at most N CTAs per representative SM (N >= 1)\n  --full            simulate every CTA of each SM's share\n  --json <path>     write the structured result to <path>\n  --json-dir <dir>  write per-experiment JSON files under <dir>\n  --cache-dir <dir> persist the run cache under <dir> (overrides DUPLO_CACHE_DIR)\n  --no-cache        disable the run cache\n  --trace <path>    write a Chrome trace-event timeline to <path> (DUPLO_TRACE)\n  --trace-interval <N>  cycles between trace samples (default 1024; DUPLO_TRACE_INTERVAL)\n  --trace-in <file> replay a recorded wtrace file instead of the generators\n                    (record one with `duplo trace record`)\n\nenvironment:\n  DUPLO_LOG=off|info|debug|trace   stderr verbosity (default info)";
 
 /// Parses the shared experiment command line. Pure — no process exit, no
 /// global state — so argument handling is unit-testable; `default_sample`
@@ -73,44 +73,24 @@ pub fn parse_cli(args: &[String], default_sample: Option<usize>) -> Result<RunOp
     RunOptions::from_cli(args, default_sample)
 }
 
-/// Applies the cache-control flags to the process-global run cache.
-///
-/// Deprecated: the cache controls now travel inside [`RunOptions`] and are
-/// honored per run by `GpuSim` (see `duplo_sim::cache::CacheCtl`), so
-/// nothing in this crate mutates global cache state anymore. Kept only for
-/// out-of-tree callers; prefer passing the options to the run entry point.
-#[deprecated(note = "cache flags are carried by RunOptions; pass them to the run entry point")]
-pub fn apply_cache_flags(cli: &RunOptions) {
-    if let Some(dir) = &cli.cache_dir {
-        cache::set_dir(Some(dir.clone()));
-    }
-    if cli.no_cache {
-        cache::set_disabled(true);
-    }
-}
-
-/// The trace destination and options `cli` asks for, if any.
-fn trace_options(cli: &RunOptions) -> Option<(PathBuf, trace::TraceOptions)> {
-    let path = cli.trace.clone()?;
-    let mut opts = trace::TraceOptions::default();
-    if let Some(n) = cli.trace_interval {
-        opts.interval = n;
-    }
-    opts.host_events = cli.trace_full;
-    Some((path, opts))
-}
-
-/// Runs `f` under a trace session when `cli` asks for one, writing the
-/// Chrome trace-event document afterwards. Without `--trace`/`DUPLO_TRACE`
-/// this is exactly `f()` — the simulator takes its untraced path and no
-/// file is touched.
-pub fn with_trace<T>(cli: &RunOptions, f: impl FnOnce() -> T) -> T {
-    let Some((path, opts)) = trace_options(cli) else {
-        return f();
+/// Runs `f` with a trace sink added to `cli` when it asks for one
+/// (`--trace`/`DUPLO_TRACE`), writing the Chrome trace-event document
+/// afterwards. Without it this is exactly `f(cli)`: the runs carry no sink
+/// and no file is touched.
+pub fn with_trace<T>(cli: &RunOptions, f: impl FnOnce(&RunOptions) -> T) -> T {
+    let Some(path) = &cli.trace else {
+        return f(cli);
     };
-    let session = trace::capture(opts);
-    let out = f();
-    let data = session.finish();
+    let mut topts = trace::TraceOptions::default();
+    if let Some(n) = cli.trace_interval {
+        topts.interval = n;
+    }
+    let sink = trace::TraceSink::new(topts);
+    let out = f(&RunOptions {
+        trace_sink: Some(sink.clone()),
+        ..cli.clone()
+    });
+    let data = sink.finish();
     let doc = data.to_chrome_json();
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -118,7 +98,7 @@ pub fn with_trace<T>(cli: &RunOptions, f: impl FnOnce() -> T) -> T {
                 .unwrap_or_else(|e| panic!("cannot create {}: {e}", parent.display()));
         }
     }
-    std::fs::write(&path, doc.to_pretty())
+    std::fs::write(path, doc.to_pretty())
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
     let events = doc
         .get("traceEvents")
@@ -136,13 +116,14 @@ pub fn with_trace<T>(cli: &RunOptions, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Runs `f` under a wtrace replay session when `cli` carries `--trace-in`,
-/// reporting how many kernel runs were substituted afterwards. Without the
-/// flag this is exactly `f()`. A file that fails to read or decode prints
-/// the decoder's positional error and exits with code 2.
-pub fn with_replay<T>(cli: &RunOptions, f: impl FnOnce() -> T) -> T {
+/// Runs `f` with a wtrace replay session added to `cli` when it carries
+/// `--trace-in`, reporting how many kernel runs were substituted
+/// afterwards. Without the flag this is exactly `f(cli)`. A file that
+/// fails to read or decode prints the decoder's positional error and
+/// exits with code 2.
+pub fn with_replay<T>(cli: &RunOptions, f: impl FnOnce(&RunOptions) -> T) -> T {
     let Some(path) = &cli.trace_in else {
-        return f();
+        return f(cli);
     };
     let kernels = match wtrace::load_file(path) {
         Ok(k) => k,
@@ -152,39 +133,42 @@ pub fn with_replay<T>(cli: &RunOptions, f: impl FnOnce() -> T) -> T {
         }
     };
     let n_kernels = kernels.len();
-    let session = wtrace::replay(kernels);
-    let out = f();
-    let substituted = session.finish();
+    let session = wtrace::WtraceSession::replay(kernels);
+    let out = f(&RunOptions {
+        wtrace: Some(session.clone()),
+        ..cli.clone()
+    });
     log::info(
         "wtrace",
         format_args!(
-            "replayed {} ({n_kernels} kernels, {substituted} runs substituted)",
-            path.display()
+            "replayed {} ({n_kernels} kernels, {} runs substituted)",
+            path.display(),
+            session.substituted()
         ),
     );
     out
 }
 
-/// Records `f`'s kernels to a wtrace file at `path`: every kernel reaching
-/// the simulator while `f` runs is captured (deduplicated by content) and
-/// the encoded document is written afterwards.
-pub fn record_to_file<T>(path: &std::path::Path, f: impl FnOnce() -> T) -> T {
-    let session = wtrace::record();
-    let out = f();
-    let records = session.finish();
+/// Records the kernels of `f`'s runs to a wtrace file at `path`: every
+/// kernel the runs reach the simulator with is captured (deduplicated by
+/// content) and the encoded document is written afterwards.
+pub fn record_to_file<T>(
+    path: &std::path::Path,
+    cli: &RunOptions,
+    f: impl FnOnce(&RunOptions) -> T,
+) -> T {
+    let session = wtrace::WtraceSession::record();
+    let out = f(&RunOptions {
+        wtrace: Some(session.clone()),
+        ..cli.clone()
+    });
+    let records = session.records();
     wtrace::write_file(path, &records).unwrap_or_else(|e| panic!("cannot write wtrace file: {e}"));
     log::info(
         "wtrace",
         format_args!("wrote {} ({} kernels)", path.display(), records.len()),
     );
     out
-}
-
-/// Parses experiment options from `std::env::args`.
-///
-/// `default_sample` is used when neither `--sample` nor `--full` is given.
-pub fn opts_from_args(default_sample: Option<usize>) -> RunOptions {
-    cli_from_args(default_sample)
 }
 
 /// Parses the full shared command line (sampling + JSON + cache + trace
@@ -217,7 +201,7 @@ pub fn banner(name: &str, opts: &RunOptions) {
         name,
         format_args!(
             "worker threads: {} (override with DUPLO_THREADS)",
-            duplo_sim::runner::resolve_threads(opts.threads)
+            resolve_threads(opts.threads)
         ),
     );
 }
@@ -247,12 +231,18 @@ pub fn json_stable() -> bool {
     std::env::var_os("DUPLO_JSON_STABLE").is_some()
 }
 
-/// Stamps host metadata (unless `DUPLO_JSON_STABLE` is set) and writes the
-/// result to `path`, noting the write on stderr.
-pub fn write_result(path: &std::path::Path, mut result: ExperimentResult, wall_clock_s: f64) {
+/// Stamps host metadata (unless `DUPLO_JSON_STABLE` is set; `workers` is
+/// the thread cap `opts` resolves to) and writes the result to `path`,
+/// noting the write on stderr.
+pub fn write_result(
+    path: &std::path::Path,
+    mut result: ExperimentResult,
+    wall_clock_s: f64,
+    opts: &RunOptions,
+) {
     if !json_stable() {
         result.wall_clock_s = Some(wall_clock_s);
-        result.workers = Some(duplo_sim::runner::max_threads());
+        result.workers = Some(resolve_threads(opts.threads));
     }
     result
         .write(path)
@@ -286,10 +276,10 @@ fn execute(spec: &ExperimentSpec, opts: &RunOptions) -> (ExperimentOutput, f64) 
     (out, secs)
 }
 
-/// Runs one registered experiment under the standalone-binary protocol:
+/// Runs one registered experiment under the `duplo run` protocol:
 /// optional sampling banner, timed run, rendered table on stdout, and
-/// `--json` output. Stdout is byte-identical to the original per-figure
-/// binaries (banners and tables only; timing and cache stats are stderr).
+/// `--json` output. Stdout carries banners and tables only; timing and
+/// cache stats are stderr.
 pub fn run_spec(spec: &ExperimentSpec, cli: &RunOptions) -> ExperimentResult {
     if spec.banner {
         banner(spec.tag, cli);
@@ -297,12 +287,12 @@ pub fn run_spec(spec: &ExperimentSpec, cli: &RunOptions) -> ExperimentResult {
     let (out, secs) = execute(spec, cli);
     print!("{}", out.rendered);
     if let Some(path) = &cli.json {
-        write_result(path, out.result.clone(), secs);
+        write_result(path, out.result.clone(), secs, cli);
     }
     out.result
 }
 
-/// Runs the registered experiment `name` under the standalone-binary
+/// Runs the registered experiment `name` under the `duplo run`
 /// protocol ([`run_spec`]). Unknown names print the registry hint — with a
 /// nearest-name suggestion when one is close — and exit with code 2.
 pub fn run_named(name: &str, cli: &RunOptions) -> ExperimentResult {
@@ -322,15 +312,6 @@ pub fn exit_unknown_experiment(name: &str) -> ! {
         None => eprintln!("error: unknown experiment {name:?} (see `duplo list`)"),
     }
     std::process::exit(2);
-}
-
-/// Entry point for the thin per-figure wrapper binaries: resolve `name`
-/// in the registry, parse the command line with the experiment's default
-/// sampling, and run it.
-pub fn standalone(name: &str) {
-    let spec = find_experiment(name).expect("wrapper binaries name registered experiments");
-    let cli = cli_from_args(spec.default_sample);
-    with_trace(&cli, || with_replay(&cli, || run_spec(spec, &cli)));
 }
 
 /// Runs a batch of registered experiments under the `all_experiments`
@@ -397,7 +378,7 @@ pub fn run_all(cli: &RunOptions, full_registry: bool) {
                     "host".to_string(),
                     Json::obj()
                         .field("wall_clock_s", wall)
-                        .field("workers", duplo_sim::runner::max_threads())
+                        .field("workers", resolve_threads(cli.threads))
                         .field("cache_hits", cache_delta.hits)
                         .field("cache_misses", cache_delta.misses)
                         .field("cache_bytes", cache_delta.bytes)
@@ -407,7 +388,7 @@ pub fn run_all(cli: &RunOptions, full_registry: bool) {
         }
         for (result, secs) in results {
             let path = dir.join(format!("{}.json", result.name));
-            write_result(&path, result, secs);
+            write_result(&path, result, secs, cli);
         }
         let roll_path = dir.join("BENCH_duplo.json");
         std::fs::write(&roll_path, roll.to_pretty())
@@ -416,153 +397,10 @@ pub fn run_all(cli: &RunOptions, full_registry: bool) {
     }
 }
 
-/// Runs `spec` once with the run cache bypassed, in event-driven or
-/// tick-by-tick reference mode, returning the rendered table, the
-/// simulated-cycle delta, and the wall-clock seconds.
-fn measure_spec(spec: &ExperimentSpec, opts: &RunOptions, reference: bool) -> (String, u64, f64) {
-    // Mode selection travels by value: the clone reaches every driver's
-    // `GpuSim`, which picks the SM loop per run — no process-global flip.
-    let mut opts = opts.clone();
-    opts.tick_reference = reference;
-    let cycles_before = duplo_sm::simulated_cycles();
-    let t0 = std::time::Instant::now();
-    let out = (spec.run)(&opts);
-    let wall_s = t0.elapsed().as_secs_f64();
-    let cycles = duplo_sm::simulated_cycles() - cycles_before;
-    (out.rendered, cycles, wall_s)
-}
-
-/// Runs every registry experiment twice — event-driven wakeup-wheel loop
-/// and tick-by-tick reference — with the run cache bypassed, and writes
-/// the `BENCH_duplo.json` perf trajectory to `out`: per-experiment
-/// simulated cycles, wall-clock, cycles-simulated/sec in both modes, and
-/// the speedup, plus whole-run totals and a geometric-mean speedup.
-///
-/// Doubles as an equivalence gate: the rendered table and the total
-/// simulated cycles of the two modes must match byte-for-byte per
-/// experiment, or the run aborts.
-///
-/// # Panics
-///
-/// Panics when an experiment's event-driven output diverges from the
-/// reference loop, or when the report cannot be written.
-pub fn run_bench(out: &std::path::Path, cli: &RunOptions) {
-    use duplo_testkit::bench::{BenchEntry, BenchReport, MetricValue};
-    // Bypass the run cache process-wide: cached results would turn the
-    // measurement (and the mode comparison) into a no-op.
-    let _nocache = cache::bypass();
-    let opts = cli;
-    let mut report = BenchReport {
-        schema: duplo_sim::results::SCHEMA_VERSION,
-        meta: vec![
-            (
-                "modes".to_string(),
-                "event-skip vs tick-by-tick reference".to_string(),
-            ),
-            (
-                "sample_ctas".to_string(),
-                match opts.sample_ctas {
-                    Some(n) => n.to_string(),
-                    None => "full".to_string(),
-                },
-            ),
-        ],
-        entries: Vec::new(),
-        summary: Vec::new(),
-    };
-    let (mut total_cycles, mut total_wall, mut total_ref_wall) = (0u64, 0.0f64, 0.0f64);
-    let (mut ln_speedup_sum, mut speedups) = (0.0f64, 0u64);
-    for spec in registry() {
-        let (rendered, cycles, wall_s) = measure_spec(spec, opts, false);
-        let (ref_rendered, ref_cycles, ref_wall_s) = measure_spec(spec, opts, true);
-        assert_eq!(
-            rendered, ref_rendered,
-            "{}: event-driven output diverged from the tick-by-tick reference",
-            spec.name
-        );
-        assert_eq!(
-            cycles, ref_cycles,
-            "{}: event-driven loop simulated a different cycle count than the reference",
-            spec.name
-        );
-        // Identical cycle counts make the cycles/sec ratio a pure time
-        // ratio; experiments that simulate nothing are excluded from the
-        // geometric mean.
-        let speedup = ref_wall_s / wall_s;
-        if cycles > 0 {
-            ln_speedup_sum += speedup.ln();
-            speedups += 1;
-        }
-        log::info(
-            "bench",
-            format_args!(
-                "{}: {cycles} cycles, {wall_s:.3}s event vs {ref_wall_s:.3}s reference ({speedup:.2}x)",
-                spec.name
-            ),
-        );
-        report.entries.push(BenchEntry {
-            name: spec.name.to_string(),
-            metrics: vec![
-                ("cycles".to_string(), MetricValue::U64(cycles)),
-                ("wall_s".to_string(), MetricValue::F64(wall_s)),
-                (
-                    "cycles_per_sec".to_string(),
-                    MetricValue::F64(cycles as f64 / wall_s),
-                ),
-                ("ref_wall_s".to_string(), MetricValue::F64(ref_wall_s)),
-                (
-                    "ref_cycles_per_sec".to_string(),
-                    MetricValue::F64(cycles as f64 / ref_wall_s),
-                ),
-                ("speedup".to_string(), MetricValue::F64(speedup)),
-            ],
-        });
-        total_cycles += cycles;
-        total_wall += wall_s;
-        total_ref_wall += ref_wall_s;
-    }
-    let gmean = if speedups > 0 {
-        (ln_speedup_sum / speedups as f64).exp()
-    } else {
-        1.0
-    };
-    report.summary = vec![
-        (
-            "experiments".to_string(),
-            MetricValue::U64(report.entries.len() as u64),
-        ),
-        ("total_cycles".to_string(), MetricValue::U64(total_cycles)),
-        ("total_wall_s".to_string(), MetricValue::F64(total_wall)),
-        (
-            "total_ref_wall_s".to_string(),
-            MetricValue::F64(total_ref_wall),
-        ),
-        (
-            "cycles_per_sec".to_string(),
-            MetricValue::F64(total_cycles as f64 / total_wall),
-        ),
-        (
-            "ref_cycles_per_sec".to_string(),
-            MetricValue::F64(total_cycles as f64 / total_ref_wall),
-        ),
-        ("speedup_gmean".to_string(), MetricValue::F64(gmean)),
-    ];
-    report
-        .write(out)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
-    log::info(
-        "bench",
-        format_args!(
-            "wrote {} ({} experiments, gmean speedup {gmean:.2}x)",
-            out.display(),
-            report.entries.len()
-        ),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -617,19 +455,12 @@ mod tests {
     #[test]
     fn trace_flags_parse() {
         let cli = parse_cli(
-            &argv(&[
-                "--trace",
-                "/tmp/t.json",
-                "--trace-interval",
-                "256",
-                "--trace-full",
-            ]),
+            &argv(&["--trace", "/tmp/t.json", "--trace-interval", "256"]),
             None,
         )
         .unwrap();
         assert_eq!(cli.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(cli.trace_interval, Some(256));
-        assert!(cli.trace_full);
         let err = parse_cli(&argv(&["--trace-interval", "0"]), None).unwrap_err();
         assert!(err.contains("positive"), "{err}");
         let err = parse_cli(&argv(&["--trace"]), None).unwrap_err();
@@ -669,7 +500,7 @@ mod tests {
             vec![],
             Json::obj().field("k", 1u64).build(),
         );
-        write_result(&path, r, 0.5);
+        write_result(&path, r, 0.5, &RunOptions::default());
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = parse(&text).expect("file must parse");
         assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("demo"));

@@ -19,8 +19,9 @@
 //!   simulates; concurrent requesters for the same key block until the
 //!   leader publishes, so two [`crate::runner`] workers never simulate
 //!   the same point twice.
-//! * **Disk tier** — optional (`DUPLO_CACHE_DIR`, or `--cache-dir` /
-//!   [`set_dir`] from the CLI): results persist as `<digest>.json` via
+//! * **Disk tier** — optional (a run's [`CacheCtl::dir`], which the CLI
+//!   fills from `--cache-dir` / `DUPLO_CACHE_DIR`, else the process
+//!   default from [`set_dir`]): results persist as `<digest>.json` via
 //!   [`crate::json`], so a later process serves repeats from disk.
 //!   Corrupted, truncated, or schema-mismatched entries fall back to
 //!   simulation and are rewritten; all disk I/O is best-effort.
@@ -40,8 +41,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use duplo_isa::Kernel;
 use duplo_sm::{SchedulerPolicy, SmStats};
@@ -112,12 +112,6 @@ fn cm() -> &'static CacheMetrics {
     })
 }
 
-/// `--no-cache`: every lookup computes, nothing is stored.
-static DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// Active [`bypass`] guards (test aid; counted so guards nest).
-static BYPASS: AtomicUsize = AtomicUsize::new(0);
-
 /// Snapshot of the process-global cache counters.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -152,127 +146,41 @@ pub fn stats() -> CacheStats {
     }
 }
 
-/// Disables (or re-enables) the cache process-wide (`--no-cache`).
-pub fn set_disabled(disabled: bool) {
-    DISABLED.store(disabled, Ordering::Release);
-}
-
-/// RAII guard from [`bypass`]; re-enables caching on drop.
-pub struct BypassGuard(());
-
-impl Drop for BypassGuard {
-    fn drop(&mut self) {
-        BYPASS.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Bypasses the cache for the guard's lifetime (lookups compute and store
-/// nothing, counters untouched). Test aid: the determinism suite compares
-/// repeated runs of the *simulator*, which memoization would short-circuit.
-/// Guards nest; the cache is bypassed while any guard is alive.
-pub fn bypass() -> BypassGuard {
-    BYPASS.fetch_add(1, Ordering::AcqRel);
-    BypassGuard(())
-}
-
-fn active() -> bool {
-    !DISABLED.load(Ordering::Acquire) && BYPASS.load(Ordering::Acquire) == 0
-}
-
 // ---------------------------------------------------------------------------
 // Per-run cache control
 // ---------------------------------------------------------------------------
 
 /// By-value cache controls for one run (see [`crate::RunOptions`]).
-///
-/// The default value defers entirely to the process-global state
-/// ([`set_disabled`], [`set_dir`], the `DUPLO_CACHE_DIR` environment
-/// variable), so code that does not thread options behaves exactly as
-/// before. The process-global kill switches ([`set_disabled`],
-/// [`bypass`]) still apply on top of any per-run setting — a test that
-/// bypasses the cache wins over a request that asks for it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CacheCtl {
     /// Neither look up nor store entries for this run (`--no-cache`).
     pub disabled: bool,
-    /// Disk-tier directory for this run; `None` defers to [`resolve_dir`].
+    /// Disk-tier directory for this run; `None` uses the process default
+    /// from [`set_dir`] (memory only unless one was set).
     pub dir: Option<PathBuf>,
 }
 
 impl CacheCtl {
-    fn active(&self) -> bool {
-        !self.disabled && active()
-    }
-
     fn dir(&self) -> Option<PathBuf> {
-        self.dir.clone().or_else(resolve_dir)
+        self.dir.clone().or_else(default_dir)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Disk-tier directory resolution
-// ---------------------------------------------------------------------------
+/// The disk-tier directory of runs that name none ([`set_dir`]).
+static DEFAULT_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 
-/// `Some(override)` once [`set_dir`] ran; the inner option is the dir
-/// itself (`None` = explicitly memory-only). `None` defers to the
-/// `DUPLO_CACHE_DIR` environment variable.
-#[allow(clippy::type_complexity)]
-static DIR_OVERRIDE: OnceLock<Mutex<Option<Option<PathBuf>>>> = OnceLock::new();
-
-/// Serializes [`scoped_dir`] scopes so concurrent tests cannot clobber
-/// each other's directory override (same pattern as
-/// [`crate::runner::override_threads`]).
-static SCOPE_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-fn dir_override() -> &'static Mutex<Option<Option<PathBuf>>> {
-    DIR_OVERRIDE.get_or_init(|| Mutex::new(None))
-}
-
-/// Sets the disk-tier directory programmatically (`--cache-dir`), taking
-/// precedence over `DUPLO_CACHE_DIR`. `None` forces memory-only caching.
+/// Sets the disk-tier directory used by runs whose [`CacheCtl::dir`] is
+/// `None` (a deployment setting, such as a long-running embedder's cache
+/// location). `None` makes such runs memory-only again.
 pub fn set_dir(dir: Option<PathBuf>) {
-    let mut slot = dir_override().lock().unwrap_or_else(|e| e.into_inner());
-    *slot = Some(dir);
+    *DEFAULT_DIR.lock().unwrap_or_else(|e| e.into_inner()) = dir;
 }
 
-/// The disk-tier directory currently in effect, if any.
-pub fn resolve_dir() -> Option<PathBuf> {
-    {
-        let slot = dir_override().lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(over) = slot.as_ref() {
-            return over.clone();
-        }
-    }
-    std::env::var_os("DUPLO_CACHE_DIR").map(PathBuf::from)
-}
-
-/// RAII guard from [`scoped_dir`]; restores the previous override (and
-/// releases the serialization lock) on drop.
-pub struct DirGuard {
-    prev: Option<Option<PathBuf>>,
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for DirGuard {
-    fn drop(&mut self) {
-        let mut slot = dir_override().lock().unwrap_or_else(|e| e.into_inner());
-        *slot = self.prev.take();
-    }
-}
-
-/// Overrides the disk-tier directory for the guard's lifetime (test aid).
-/// `None` forces memory-only caching regardless of `DUPLO_CACHE_DIR`.
-/// Guards serialize on a global lock, so concurrent tests queue rather
-/// than interleave their overrides.
-pub fn scoped_dir(dir: Option<PathBuf>) -> DirGuard {
-    let lock = SCOPE_LOCK
-        .get_or_init(|| Mutex::new(()))
+fn default_dir() -> Option<PathBuf> {
+    DEFAULT_DIR
         .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let mut slot = dir_override().lock().unwrap_or_else(|e| e.into_inner());
-    let prev = slot.replace(dir);
-    drop(slot);
-    DirGuard { prev, _lock: lock }
+        .unwrap_or_else(|e| e.into_inner())
+        .clone()
 }
 
 // ---------------------------------------------------------------------------
@@ -360,16 +268,6 @@ impl Drop for AbandonOnPanic {
 // ---------------------------------------------------------------------------
 
 /// Serves a simulation run from the cache, computing it via `compute` on a
-/// miss, under the default (process-global) cache controls.
-pub fn run_cached(
-    cfg: &GpuConfig,
-    kernel: &dyn Kernel,
-    compute: impl FnOnce() -> GpuRunResult,
-) -> GpuRunResult {
-    run_cached_ctl(&CacheCtl::default(), cfg, kernel, compute)
-}
-
-/// Serves a simulation run from the cache, computing it via `compute` on a
 /// miss. This is the sole entry point [`crate::GpuSim::run`] goes through,
 /// so every experiment driver and sweep inherits memoization. `ctl`
 /// carries the per-run controls ([`crate::RunOptions`]); the memory tier
@@ -382,7 +280,7 @@ pub fn run_cached_ctl(
     kernel: &dyn Kernel,
     compute: impl FnOnce() -> GpuRunResult,
 ) -> GpuRunResult {
-    if !ctl.active() {
+    if ctl.disabled {
         return compute();
     }
     let key = run_key(cfg, kernel);
@@ -455,73 +353,6 @@ pub fn run_cached_ctl(
             }
         }
     }
-}
-
-/// [`lookup_ready_ctl`] under the default (process-global) controls.
-pub fn lookup_ready(cfg: &GpuConfig, kernel: &dyn Kernel) -> Option<GpuRunResult> {
-    lookup_ready_ctl(&CacheCtl::default(), cfg, kernel)
-}
-
-/// Non-blocking cache lookup used by the traced simulation path
-/// ([`crate::trace`]): returns the published result for `(cfg, kernel)`
-/// from the memory or disk tier, without entering the single-flight
-/// protocol (an in-flight leader is treated as a miss rather than waited
-/// on). Counts a hit exactly like [`run_cached`] would.
-pub fn lookup_ready_ctl(
-    ctl: &CacheCtl,
-    cfg: &GpuConfig,
-    kernel: &dyn Kernel,
-) -> Option<GpuRunResult> {
-    if !ctl.active() {
-        return None;
-    }
-    let key = run_key(cfg, kernel);
-    {
-        let map = shard(key).lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(slot) = map.get(&key) {
-            let st = slot.state.lock().unwrap_or_else(|e| e.into_inner());
-            if let SlotState::Ready(r) = &*st {
-                cm().mem_hits.inc();
-                return Some(r.clone());
-            }
-            return None; // in-flight or abandoned: let the caller simulate
-        }
-    }
-    let r = disk_load(ctl, key)?;
-    cm().disk_hits.inc();
-    publish_memory(key, &r);
-    Some(r)
-}
-
-/// [`publish_ctl`] under the default (process-global) controls.
-pub fn publish(cfg: &GpuConfig, kernel: &dyn Kernel, r: &GpuRunResult) {
-    publish_ctl(&CacheCtl::default(), cfg, kernel, r);
-}
-
-/// Publishes a result computed outside [`run_cached`] (the traced path)
-/// into both tiers and counts the miss. An existing in-flight slot is left
-/// alone — its leader will publish its own identical result.
-pub fn publish_ctl(ctl: &CacheCtl, cfg: &GpuConfig, kernel: &dyn Kernel, r: &GpuRunResult) {
-    if !ctl.active() {
-        return;
-    }
-    let key = run_key(cfg, kernel);
-    cm().misses.inc();
-    publish_memory(key, r);
-    disk_store(ctl, key, r);
-}
-
-/// Inserts a ready entry into the memory tier unless the key is occupied.
-fn publish_memory(key: u128, r: &GpuRunResult) {
-    let mut map = shard(key).lock().unwrap_or_else(|e| e.into_inner());
-    if map.contains_key(&key) {
-        return;
-    }
-    let slot = Arc::new(Slot {
-        state: Mutex::new(SlotState::Ready(r.clone())),
-        cv: Condvar::new(),
-    });
-    map.insert(key, slot);
 }
 
 // ---------------------------------------------------------------------------

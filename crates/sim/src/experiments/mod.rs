@@ -124,9 +124,8 @@ pub struct ExperimentOutput {
 }
 
 /// One registered experiment. The registry is the single source of truth
-/// the `duplo` CLI, the per-figure wrapper binaries, and `all_experiments`
-/// all iterate — adding an experiment is one entry here, not edits across
-/// three binaries.
+/// the `duplo` CLI and `all_experiments` both iterate — adding an
+/// experiment is one entry here.
 pub struct ExperimentSpec {
     /// Stable machine name (matches the result's `experiment` field).
     pub name: &'static str,
@@ -136,7 +135,7 @@ pub struct ExperimentSpec {
     pub paper_ref: &'static str,
     /// Short tag used in banner/timing stderr lines (`fig09`, `energy`).
     pub tag: &'static str,
-    /// Whether the standalone binary prints the sampling banner.
+    /// Whether `duplo run` prints the sampling banner.
     pub banner: bool,
     /// Whether the run is timed (stderr wall-clock line); `false` only
     /// for config dumps that simulate nothing.
@@ -192,8 +191,8 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-fn run_table03(_opts: &RunOptions) -> ExperimentOutput {
-    let cfg = crate::GpuConfig::titan_v();
+fn run_table03(opts: &RunOptions) -> ExperimentOutput {
+    let cfg = opts.apply(crate::GpuConfig::titan_v());
     ExperimentOutput {
         rendered: table03_config::render(&cfg),
         result: table03_config::result(&cfg),

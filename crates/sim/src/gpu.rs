@@ -13,7 +13,9 @@ use duplo_core::LhbConfig;
 use duplo_energy::{EnergyCounts, EnergyModel, EnergyReport};
 use duplo_isa::Kernel;
 use duplo_kernels::{GemmTcKernel, SmemPolicy};
-use duplo_sm::{SmConfig, SmStats, SmTraceData, run_kernel_mode, run_kernel_traced_mode};
+use duplo_sm::{
+    SmConfig, SmStats, SmTraceData, TraceSpec, run_kernel_mode, run_kernel_traced_mode,
+};
 
 use crate::metrics;
 use crate::options::RunOptions;
@@ -107,33 +109,15 @@ pub struct GpuConfig {
 }
 
 impl GpuConfig {
-    /// The Table III NVIDIA Titan V-like baseline GPU.
-    ///
-    /// Two environment knobs select the sliced memory side for every run
-    /// built from this baseline: `DUPLO_L2_SLICES=<n>` partitions the L2
-    /// into `n` slices behind the crossbar (`1` is the degenerate
-    /// flat-equivalent configuration, gated byte-identical in CI), and
-    /// `DUPLO_L2_HASH=mod|xor` picks the line→slice interleaving hash
-    /// (default `xor`).
+    /// The Table III NVIDIA Titan V-like baseline GPU, with the flat memory
+    /// side ([`RunOptions::apply`] selects the sliced one).
     pub fn titan_v() -> GpuConfig {
         let total_sms = 80;
-        let mut sm = SmConfig::titan_v(total_sms);
-        if let Some(slices) = std::env::var("DUPLO_L2_SLICES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-        {
-            let hash = std::env::var("DUPLO_L2_HASH")
-                .ok()
-                .and_then(|v| duplo_mem::HashKind::parse(&v))
-                .unwrap_or(duplo_mem::HashKind::XorFold);
-            sm.hierarchy = sm.hierarchy.sliced(slices, hash);
-        }
         GpuConfig {
             total_sms,
             sms_simulated: 1,
             clock_mhz: 1200,
-            sm,
+            sm: SmConfig::titan_v(total_sms),
             sample_ctas: None,
         }
     }
@@ -202,9 +186,7 @@ pub struct GpuSim {
 }
 
 impl GpuSim {
-    /// Creates a simulator with default run options (every execution
-    /// knob — threads, cache directory, loop mode — defers to the
-    /// process-global fallbacks, exactly the historical behavior).
+    /// Creates a simulator with default run options.
     pub fn new(config: GpuConfig) -> GpuSim {
         GpuSim::with_options(config, RunOptions::default())
     }
@@ -234,27 +216,49 @@ impl GpuSim {
     /// Runs are memoized through the content-addressed
     /// [`crate::cache`] — a repeat of an identical (configuration, kernel)
     /// point is served from cache (byte-identical to a fresh simulation)
-    /// instead of re-simulated. Use [`crate::cache::bypass`] to force the
+    /// instead of re-simulated. Set [`RunOptions::no_cache`] to force the
     /// simulator to actually run.
     ///
     /// Each representative SM's `run_kernel` is independent, so the SMs
-    /// fan out over [`crate::runner::par_map`]; per-SM results are folded
-    /// in `sm_id` order, so the outcome is identical at any thread count.
+    /// fan out over [`crate::runner::par_map_opt`]; per-SM results are
+    /// folded in `sm_id` order, so the outcome is identical at any thread
+    /// count.
     ///
     /// A kernel with no CTAs (every share empty) reports
     /// `sampled_fraction: 0.0` — nothing ran, and the `cycles: 0.0`
     /// estimate covers none of the grid.
-    /// Under a [`crate::wtrace`] replay session, the generated kernel is
-    /// swapped for its recorded trace before simulation; under a recording
-    /// session, the kernel is captured first — ahead of the cache lookup,
-    /// so recording works even when every run is a cache hit.
+    ///
+    /// Under a [`crate::wtrace`] replay session in the options, the
+    /// generated kernel is swapped for its recorded trace before
+    /// simulation; under a recording session, the kernel is captured
+    /// first — ahead of the cache lookup, so recording works even when
+    /// every run is a cache hit. Under a [`crate::trace::TraceSink`], a
+    /// simulated run records its timeline and a cache hit records a
+    /// timeline-less `cache_hit` record; the result is the same either way.
     pub fn run(&self, kernel: &dyn Kernel) -> GpuRunResult {
-        let result = if let Some(replayed) = crate::wtrace::substitute(&self.config, kernel) {
-            self.run_resolved(replayed.as_ref())
-        } else {
-            crate::wtrace::observe(&self.config, kernel);
-            self.run_resolved(kernel)
+        let replayed = self
+            .opts
+            .wtrace
+            .as_ref()
+            .and_then(|w| w.resolve(&self.config, kernel));
+        let kernel: &dyn Kernel = match &replayed {
+            Some(k) => k.as_ref(),
+            None => kernel,
         };
+        let sink = self.opts.trace_sink.as_ref();
+        let mut simulated = false;
+        let result =
+            crate::cache::run_cached_ctl(&self.opts.cache_ctl(), &self.config, kernel, || {
+                simulated = true;
+                let (result, timelines) = self.simulate(kernel, sink.map(|s| s.options().spec()));
+                if let Some(sink) = sink {
+                    sink.record(kernel, &self.config, &result, Some(timelines));
+                }
+                result
+            });
+        if let (Some(sink), false) = (sink, simulated) {
+            sink.record(kernel, &self.config, &result, None);
+        }
         let m = gm();
         m.runs.inc();
         m.kernel_cycles.add(result.cycles as u64);
@@ -265,19 +269,17 @@ impl GpuSim {
         result
     }
 
-    /// Dispatch after wtrace record/replay resolution.
-    fn run_resolved(&self, kernel: &dyn Kernel) -> GpuRunResult {
-        if crate::trace::is_active() {
-            return self.run_traced(kernel);
-        }
-        crate::cache::run_cached_ctl(&self.opts.cache_ctl(), &self.config, kernel, || {
-            self.run_uncached(kernel)
-        })
-    }
-
     /// The simulation itself, with no memoization (see [`crate::cache`]).
-    fn run_uncached(&self, kernel: &dyn Kernel) -> GpuRunResult {
+    /// Each SM with a non-empty share records its timeline per `spec` when
+    /// tracing; the timelines come back tagged with their `sm_id`, beside
+    /// the stats, so tracing cannot perturb the fold.
+    fn simulate(
+        &self,
+        kernel: &dyn Kernel,
+        spec: Option<TraceSpec>,
+    ) -> (GpuRunResult, Vec<(u64, SmTraceData)>) {
         let cfg = &self.config;
+        let reference = self.opts.tick_reference;
         let n_ctas = kernel.num_ctas();
         let sm_ids: Vec<usize> = (0..cfg.sms_simulated).collect();
         let simulate_start = std::time::Instant::now();
@@ -288,139 +290,53 @@ impl GpuSim {
                 return None;
             }
             let take = cfg.sample_ctas.unwrap_or(share.len()).min(share.len());
-            let stats = run_kernel_mode(
-                kernel,
-                &share[..take],
-                cfg.sm.clone(),
-                self.opts.tick_reference,
-            );
-            Some((share.len(), take, stats))
+            let ctas = &share[..take];
+            let (stats, timeline) = match spec {
+                None => (
+                    run_kernel_mode(kernel, ctas, cfg.sm.clone(), reference),
+                    None,
+                ),
+                Some(spec) => {
+                    let (stats, timeline) =
+                        run_kernel_traced_mode(kernel, ctas, cfg.sm.clone(), spec, reference);
+                    (stats, Some(timeline))
+                }
+            };
+            Some((share.len(), take, stats, timeline))
         });
         gm().simulate_us
             .observe(simulate_start.elapsed().as_micros() as u64);
         let fold_start = std::time::Instant::now();
-        let result = fold_per_sm(per_sm);
+        let mut timelines = Vec::new();
+        let parts = per_sm.into_iter().enumerate().map(|(sm_id, slot)| {
+            slot.map(|(share_len, take, stats, timeline)| {
+                timelines.extend(timeline.map(|t| (sm_id as u64, t)));
+                (share_len, take, stats)
+            })
+        });
+        let result = fold_per_sm(parts);
         gm().fold_us
             .observe(fold_start.elapsed().as_micros() as u64);
-        result
-    }
-
-    /// [`GpuSim::run`] under an active [`crate::trace`] session: same
-    /// simulation and same fold (the result is byte-identical to the
-    /// untraced path), but each SM additionally records its timeline via
-    /// [`run_kernel_traced`], and the aggregated [`crate::trace::RunRecord`]
-    /// is appended to the session. The run cache is consulted explicitly —
-    /// a hit is recorded as a timeline-less `cache_hit` record.
-    fn run_traced(&self, kernel: &dyn Kernel) -> GpuRunResult {
-        let cfg = &self.config;
-        let ctl = self.opts.cache_ctl();
-        let opts = crate::trace::options().unwrap_or_default();
-        let key = crate::digest::hex(crate::cache::run_key(cfg, kernel));
-        if let Some(r) = crate::cache::lookup_ready_ctl(&ctl, cfg, kernel) {
-            crate::log::debug(
-                "trace",
-                format_args!("{}: cache hit, no timeline recorded", kernel.name()),
-            );
-            crate::trace::record_run(crate::trace::RunRecord {
-                kernel: kernel.name().to_string(),
-                key,
-                cache_hit: true,
-                cycles: r.cycles,
-                ctas_simulated: r.ctas_simulated,
-                interval: opts.interval,
-                samples: Vec::new(),
-                cta_spans: Vec::new(),
-                dropped_samples: 0,
-                dropped_spans: 0,
-            });
-            return r;
-        }
-        let spec = opts.spec();
-        let n_ctas = kernel.num_ctas();
-        let sm_ids: Vec<usize> = (0..cfg.sms_simulated).collect();
-        let per_sm = crate::runner::par_map_opt(self.opts.threads, &sm_ids, |&sm_id| {
-            let share: Vec<usize> = (sm_id..n_ctas).step_by(cfg.total_sms).collect();
-            if share.is_empty() {
-                return None;
-            }
-            let take = cfg.sample_ctas.unwrap_or(share.len()).min(share.len());
-            let (stats, trace) = run_kernel_traced_mode(
-                kernel,
-                &share[..take],
-                cfg.sm.clone(),
-                spec,
-                self.opts.tick_reference,
-            );
-            Some((share.len(), take, stats, trace))
-        });
-        // Split stats from timelines, preserving `sm_id` order so both the
-        // stat fold and the sample aggregation are thread-count invariant.
-        let mut parts = Vec::with_capacity(per_sm.len());
-        let mut traces: Vec<(u64, SmTraceData)> = Vec::new();
-        for (sm_id, slot) in per_sm.into_iter().enumerate() {
-            match slot {
-                Some((share_len, take, stats, trace)) => {
-                    traces.push((sm_id as u64, trace));
-                    parts.push(Some((share_len, take, stats)));
-                }
-                None => parts.push(None),
-            }
-        }
-        let result = fold_per_sm(parts);
-        crate::cache::publish_ctl(&ctl, cfg, kernel, &result);
-        let refs: Vec<&SmTraceData> = traces.iter().map(|(_, t)| t).collect();
-        let (samples, dropped_samples) = crate::trace::aggregate_samples(&refs, spec.interval);
-        let mut cta_spans = Vec::new();
-        let mut dropped_spans = 0u64;
-        for (sm, t) in &traces {
-            dropped_spans += t.dropped_spans;
-            for &span in &t.cta_spans {
-                cta_spans.push((*sm, span));
-            }
-        }
-        crate::log::debug(
-            "trace",
-            format_args!(
-                "{}: {} samples, {} cta spans ({} SMs)",
-                kernel.name(),
-                samples.len(),
-                cta_spans.len(),
-                traces.len()
-            ),
-        );
-        crate::trace::record_run(crate::trace::RunRecord {
-            kernel: kernel.name().to_string(),
-            key,
-            cache_hit: false,
-            cycles: result.cycles,
-            ctas_simulated: result.ctas_simulated,
-            interval: spec.interval,
-            samples,
-            cta_spans,
-            dropped_samples,
-            dropped_spans,
-        });
-        result
+        (result, timelines)
     }
 }
 
 /// Folds per-SM `(share_len, take, stats)` outcomes — in `sm_id` order —
-/// into a whole-GPU result. Shared by the traced and untraced paths so
-/// tracing cannot perturb results.
+/// into a whole-GPU result.
 ///
 /// With the sliced memory side enabled, the fold is also where cross-SM
 /// slice contention is combined: each SM prices its own `1/total_sms`
 /// share of every slice's port and DRAM bandwidth during simulation, and
 /// the per-slice counters are folded element-wise here in fixed `sm_id`
 /// order (the deterministic SM→slice arbitration order). The result is
-/// order-stable at any `DUPLO_THREADS`, gpucachesim-style.
-fn fold_per_sm(per_sm: Vec<Option<(usize, usize, SmStats)>>) -> GpuRunResult {
+/// order-stable at any thread count, gpucachesim-style.
+fn fold_per_sm(per_sm: impl Iterator<Item = Option<(usize, usize, SmStats)>>) -> GpuRunResult {
     let mut worst_cycles = 0.0f64;
     let mut agg = SmStats::default();
     let mut ctas_simulated = 0usize;
     let mut sampled_fraction = 1.0f64;
     let mut any_ran = false;
-    for (share_len, take, stats) in per_sm.into_iter().flatten() {
+    for (share_len, take, stats) in per_sm.flatten() {
         any_ran = true;
         let scale = share_len as f64 / take as f64;
         sampled_fraction = (take as f64 / share_len as f64).min(sampled_fraction);
@@ -617,27 +533,72 @@ mod tests {
         assert_eq!(r.stats.ctas_run, 0);
     }
 
+    /// A 392-CTA layer over `sms` simulated SMs (distinct per-SM shares).
+    fn multi_sm(sms: usize) -> (GemmTcKernel, GpuConfig) {
+        let p = ConvParams::new(Nhwc::new(8, 56, 56, 16), 16, 3, 3, 1, 1).unwrap();
+        let mut cfg = GpuConfig::titan_v();
+        cfg.sms_simulated = sms;
+        cfg.sm.lhb = Some(LhbConfig::paper_default());
+        (GemmTcKernel::from_conv(&p, SmemPolicy::COnly), cfg)
+    }
+
     #[test]
     fn multi_sm_run_is_thread_count_invariant() {
-        // 392 CTAs over 80 SMs: 5 simulated SMs get distinct shares; the
-        // fold over per-SM results must not depend on completion order.
-        // Bypass the run cache: serving the second run from memory would
-        // make the comparison vacuous.
-        let _nocache = crate::cache::bypass();
-        let p = ConvParams::new(Nhwc::new(8, 56, 56, 16), 16, 3, 3, 1, 1).unwrap();
-        let mut cfg = GpuConfig::titan_v().with_sample(2);
-        cfg.sms_simulated = 5;
-        cfg.sm.lhb = Some(LhbConfig::paper_default());
-        let kernel = GemmTcKernel::from_conv(&p, SmemPolicy::COnly);
-        let serial = {
-            let _g = crate::runner::override_threads(1);
-            GpuSim::new(cfg.clone()).run(&kernel)
+        // 5 simulated SMs get distinct shares; the fold over per-SM results
+        // must not depend on completion order. No cache: serving the second
+        // run from memory would make the comparison vacuous.
+        let (kernel, cfg) = multi_sm(5);
+        let run = |threads| {
+            let opts = RunOptions {
+                sample_ctas: Some(2),
+                threads: Some(threads),
+                no_cache: true,
+                ..RunOptions::default()
+            };
+            GpuSim::with_options(opts.apply(cfg.clone()), opts).run(&kernel)
         };
-        let parallel = {
-            let _g = crate::runner::override_threads(4);
-            GpuSim::new(cfg).run(&kernel)
+        assert_eq!(format!("{:?}", run(1)), format!("{:?}", run(4)));
+    }
+
+    #[test]
+    fn concurrent_runs_with_mixed_options_match_sequential_runs() {
+        // {1, 4 threads} x {event, reference loop} x {flat, 4 slices}: each
+        // variant runs alone, then all run at once from scoped threads.
+        // Nothing is process state, so every concurrent result must be
+        // byte-identical to its sequential twin.
+        let (kernel, cfg) = multi_sm(4);
+        let mut variants = Vec::new();
+        for threads in [1, 4] {
+            for tick_reference in [false, true] {
+                for l2_slices in [None, Some(4)] {
+                    variants.push(RunOptions {
+                        sample_ctas: Some(1),
+                        threads: Some(threads),
+                        tick_reference,
+                        l2_slices,
+                        no_cache: true,
+                        ..RunOptions::default()
+                    });
+                }
+            }
+        }
+        let run = |o: &RunOptions| {
+            let r = GpuSim::with_options(o.apply(cfg.clone()), o.clone()).run(&kernel);
+            crate::cache::result_to_json(&r).to_pretty()
         };
-        assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
+        let sequential: Vec<String> = variants.iter().map(run).collect();
+        let concurrent: Vec<String> = std::thread::scope(|s| {
+            let handles: Vec<_> = variants.iter().map(|o| s.spawn(move || run(o))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("run must not panic"))
+                .collect()
+        });
+        assert_eq!(sequential, concurrent);
+        assert_ne!(
+            sequential[0], sequential[1],
+            "the sliced variant must exercise a different memory side"
+        );
     }
 
     #[test]

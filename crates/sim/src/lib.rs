@@ -10,16 +10,19 @@
 //! * [`experiments`] — drivers reproducing every figure and table of the
 //!   paper's evaluation (see `DESIGN.md` §5 for the index),
 //! * [`runner`] — the zero-dependency parallel execution engine behind
-//!   both (bounded scoped-thread pool, `DUPLO_THREADS` override,
+//!   both (bounded scoped-thread pool sized by `RunOptions::threads`,
 //!   order-stable and therefore byte-identical results at any thread
 //!   count),
 //! * [`cache`] — the content-addressed run cache memoizing
 //!   [`GpuSim::run`] (single-flight in-memory tier plus an optional
-//!   `DUPLO_CACHE_DIR` disk tier keyed by [`digest`]),
-//! * [`trace`] — cycle-resolved tracing sessions with Chrome
+//!   disk tier keyed by [`digest`]),
+//! * [`options`] — [`RunOptions`], the only input to a run besides its
+//!   configuration and kernel (the environment is read once, in
+//!   `RunOptions::from_env`),
+//! * [`trace`] — run-scoped cycle-resolved tracing with Chrome
 //!   trace-event (Perfetto-compatible) export and a phase summarizer,
 //! * [`wtrace`] — the versioned warp-instruction trace format with
-//!   record/replay sessions (trace-driven workload frontend),
+//!   run-scoped record/replay sessions (trace-driven workload frontend),
 //! * [`log`] — the `DUPLO_LOG`-leveled logger every stderr line in the
 //!   stack goes through,
 //! * [`metrics`] — the process-wide telemetry registry (counters,

@@ -57,8 +57,8 @@ impl Level {
 /// Test-only scoped override; `usize::MAX` means "no override".
 static LEVEL_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
 
-/// Serializes [`override_level`] scopes (same pattern as
-/// [`crate::runner::override_threads`]).
+/// Serializes [`override_level`] scopes so concurrent tests cannot
+/// clobber each other's level.
 static OVERRIDE_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
 
 /// `DUPLO_LOG` parsed once per process.

@@ -1,20 +1,17 @@
-//! Typed run options — the by-value replacement for process-global knobs.
+//! Typed run options — the only input to a run besides its configuration
+//! and kernel.
 //!
-//! Historically every run-affecting setting travelled as process state:
-//! `DUPLO_THREADS` read inside [`crate::runner`], `DUPLO_CACHE_DIR` /
-//! [`crate::cache::set_dir`] inside the cache, `DUPLO_L2_SLICES` /
-//! `DUPLO_L2_HASH` inside [`crate::GpuConfig::titan_v`],
-//! `DUPLO_TICK_REFERENCE` inside the SM loop, and the CLI flags mutated
-//! the same globals. That cannot express two in-flight runs with
-//! different settings — which a long-running service needs.
-//!
-//! [`RunOptions`] is the explicit value: the CLI/env surface parses into
-//! one of these ([`RunOptions::from_cli`] / [`RunOptions::from_env`]),
-//! the experiment registry runners receive it, and
-//! [`crate::GpuSim::with_options`] threads it down through the runner,
-//! the cache, and the SM loop. A default-constructed value defers every
-//! field to the process-global fallbacks, so existing entry points keep
-//! byte-identical behavior.
+//! Every run-affecting setting travels in a [`RunOptions`] value: the
+//! thread cap, the SM loop mode, the cache policy, the L2 slicing, and the
+//! run-scoped trace and wtrace handles. The environment is read in one
+//! place, [`RunOptions::from_env`], at the binary edge (the `duplo` CLI and
+//! the test binaries `scripts/ci.sh` drives through `DUPLO_*` variables);
+//! [`RunOptions::from_cli`] layers the flags on top. The experiment
+//! registry runners receive the value, and [`crate::GpuSim::with_options`]
+//! threads it down through the runner, the cache, and the SM loop. Since
+//! nothing defers to process state, runs with different settings — traced
+//! and untraced, 1 and 4 threads, event and reference loop — can run
+//! concurrently in one process.
 
 use std::path::PathBuf;
 
@@ -24,32 +21,34 @@ use crate::GpuConfig;
 use crate::cache::CacheCtl;
 use crate::json::Json;
 use crate::progress::ProgressHandle;
+use crate::trace::TraceSink;
+use crate::wtrace::WtraceSession;
 
 /// Options for one simulation run (or one experiment invocation).
 ///
-/// `None` / `false` fields defer to the process-global fallbacks
-/// (environment variables, [`crate::cache::set_dir`], ...), so
-/// `RunOptions::default()` reproduces the historical behavior exactly.
+/// `RunOptions::default()` means the defaults: every available core, the
+/// event-driven SM loop, the process-default cache directory, the
+/// configuration's own memory side, and no tracing.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunOptions {
     /// Simulate at most this many CTAs per representative SM (None = all).
     pub sample_ctas: Option<usize>,
-    /// Worker-thread cap for this run's parallel fan-out
-    /// (`--`/`DUPLO_THREADS`; `None` defers to the environment). An
-    /// active [`crate::runner::override_threads`] guard still wins — the
-    /// determinism suite relies on that.
+    /// Worker-thread cap for this run's parallel fan-out (`DUPLO_THREADS`
+    /// at the CLI; `None` = [`std::thread::available_parallelism`]).
     pub threads: Option<usize>,
-    /// Force the tick-by-tick reference SM loop for this run
-    /// (`DUPLO_TICK_REFERENCE`); `false` defers to the process globals.
+    /// Run the tick-by-tick reference SM loop (`DUPLO_TICK_REFERENCE` at
+    /// the CLI); `false` = the event-driven loop. Results are identical.
     pub tick_reference: bool,
     /// `--no-cache`: neither look up nor store run-cache entries.
     pub no_cache: bool,
     /// `--cache-dir <dir>` / `DUPLO_CACHE_DIR`: disk tier for the run
-    /// cache (`None` defers to the process-global setting).
+    /// cache (`None` = the process default from [`crate::cache::set_dir`],
+    /// memory only unless one was set).
     pub cache_dir: Option<PathBuf>,
     /// L2 slice count override: `Some(0)` forces the flat memory side,
     /// `Some(n >= 1)` the sliced one (`DUPLO_L2_SLICES`), `None` keeps
-    /// whatever the configuration already selected.
+    /// whatever the configuration already selected
+    /// ([`crate::GpuConfig::titan_v`] is flat).
     pub l2_slices: Option<usize>,
     /// Line→slice hash for the sliced memory side (`DUPLO_L2_HASH`;
     /// `None` = XOR-fold when slicing is requested here).
@@ -64,10 +63,6 @@ pub struct RunOptions {
     /// `--trace-interval <N>` (or `DUPLO_TRACE_INTERVAL`): cycles between
     /// trace samples.
     pub trace_interval: Option<u64>,
-    /// `--trace-full` (or `DUPLO_TRACE_FULL`): also record volatile
-    /// host-side spans (runner workers) — the export is then no longer
-    /// byte-reproducible.
-    pub trace_full: bool,
     /// `--trace-in <file>`: replay this recorded wtrace file — every
     /// generated kernel is swapped for its recorded instruction stream
     /// before simulation (see [`crate::wtrace`]).
@@ -78,6 +73,14 @@ pub struct RunOptions {
     /// default everywhere else) reports nothing. Never part of the cache
     /// key — progress observation cannot perturb results.
     pub progress: Option<ProgressHandle>,
+    /// Trace collector for this run (see [`crate::trace`]): the CLI builds
+    /// one for `--trace`, `duplo serve` one per traced submission. `None`
+    /// records nothing. Never part of the cache key.
+    pub trace_sink: Option<TraceSink>,
+    /// Wtrace record or replay session for this run (see
+    /// [`crate::wtrace`]): `duplo trace record` and `--trace-in` build one.
+    /// Never part of the cache key.
+    pub wtrace: Option<WtraceSession>,
 }
 
 /// Validates a trace-interval setting coming from `source` (a flag or an
@@ -103,7 +106,8 @@ impl RunOptions {
         }
     }
 
-    /// Snapshots every environment knob into an explicit value: the
+    /// Snapshots every environment knob into an explicit value — the only
+    /// place a run's settings are read from the environment: the
     /// `DUPLO_JSON_DIR` / `DUPLO_TRACE*` harness settings, plus
     /// `DUPLO_THREADS`, `DUPLO_CACHE_DIR`, `DUPLO_TICK_REFERENCE`, and
     /// `DUPLO_L2_SLICES` / `DUPLO_L2_HASH`. Lenient where the historical
@@ -130,7 +134,6 @@ impl RunOptions {
             Ok(v) => Some(parse_trace_interval("DUPLO_TRACE_INTERVAL", v.trim())?),
             Err(_) => None,
         };
-        o.trace_full = std::env::var_os("DUPLO_TRACE_FULL").is_some();
         Ok(o)
     }
 
@@ -182,7 +185,6 @@ impl RunOptions {
                     let v = value(args, &mut i, "--trace-interval")?;
                     o.trace_interval = Some(parse_trace_interval("--trace-interval", &v)?);
                 }
-                "--trace-full" => o.trace_full = true,
                 "--trace-in" => {
                     o.trace_in = Some(PathBuf::from(value(args, &mut i, "--trace-in")?));
                 }
@@ -196,9 +198,7 @@ impl RunOptions {
     /// Applies the configuration-shaping options to a GPU configuration:
     /// CTA sampling always, the memory side when an `l2_slices` override
     /// is present. Re-applying the same slice settings a configuration
-    /// already carries is idempotent, so options snapshotted from the
-    /// environment compose with [`crate::GpuConfig::titan_v`] (which
-    /// reads the same variables).
+    /// already carries is idempotent.
     pub fn apply(&self, mut cfg: GpuConfig) -> GpuConfig {
         cfg.sample_ctas = self.sample_ctas;
         match self.l2_slices {
@@ -308,6 +308,7 @@ mod tests {
         assert!(!o.no_cache);
         assert_eq!(o.l2_slices, None);
         assert_eq!(o.cache_ctl(), CacheCtl::default());
+        assert!(o.trace_sink.is_none() && o.wtrace.is_none());
     }
 
     #[test]

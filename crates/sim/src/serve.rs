@@ -33,7 +33,9 @@
 //! Submissions are executed through [`crate::GpuSim::with_options`], so
 //! every run-affecting knob travels by value: two in-flight requests can
 //! sample differently, pick different memory sides, or run the
-//! tick-by-tick reference loop, without touching process globals. All
+//! tick-by-tick reference loop, without touching process globals. Trace
+//! capture is a per-submission [`trace::TraceSink`], so a traced
+//! submission runs concurrently with untraced ones. All
 //! requests share the process run cache — its single-flight in-memory
 //! tier plus the disk tier — so N concurrent identical submissions cost
 //! one simulation, and a warm daemon answers from the cache entirely.
@@ -53,7 +55,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -341,10 +343,6 @@ struct ServerState {
     artifacts: BlobStore,
     /// Submission lifecycles by job digest (`/v1/progress/<digest>`).
     jobs: Mutex<JobsInner>,
-    /// Trace sessions are process-global, so a traced submission must run
-    /// exclusively: it takes the write side, plain submissions the read
-    /// side (and proceed concurrently among themselves).
-    trace_gate: RwLock<()>,
 }
 
 /// A running daemon; [`Server::join`] blocks until shutdown completes.
@@ -375,7 +373,6 @@ impl Server {
                 map: HashMap::new(),
                 order: VecDeque::new(),
             }),
-            trace_gate: RwLock::new(()),
         });
         let mut threads = Vec::new();
         {
@@ -947,30 +944,28 @@ fn submit_experiment(
     // Thread the lifecycle handle into the simulation so per-kernel cycle
     // counts stream out while the run is in flight.
     opts.progress = Some(progress.clone());
-    let before = cache::stats();
-    progress.set_state(JobState::Running);
-    let (out, artifact) = if want_trace {
-        // Trace sessions are process-global: run exclusively.
-        let _g = state.trace_gate.write().unwrap_or_else(|e| e.into_inner());
+    opts.trace_sink = want_trace.then(|| {
         let mut topts = trace::TraceOptions::default();
         if let Some(n) = opts.trace_interval {
             topts.interval = n;
         }
-        let session = trace::capture(topts);
-        let out = (spec.run)(&opts);
-        let data = session.finish();
-        let chrome = data.to_chrome_json().to_pretty();
-        let key = state.artifacts.insert(chrome.as_bytes());
+        trace::TraceSink::new(topts)
+    });
+    let before = cache::stats();
+    progress.set_state(JobState::Running);
+    let out = (spec.run)(&opts);
+    let artifact = opts.trace_sink.as_ref().map(|sink| {
+        let data = sink.finish();
+        let key = state
+            .artifacts
+            .insert(data.to_chrome_json().to_pretty().as_bytes());
         slog(format_args!(
             "traced {} ({} runs) -> artifact {key}",
             spec.name,
             data.runs.len()
         ));
-        (out, Some(key))
-    } else {
-        let _g = state.trace_gate.read().unwrap_or_else(|e| e.into_inner());
-        ((spec.run)(&opts), None)
-    };
+        key
+    });
     progress.set_state(JobState::Done);
     let delta = cache::stats().since(&before);
     // The stable result form: no host block, ever — responses must be
@@ -1013,7 +1008,6 @@ fn submit_wtrace(
     };
     opts.progress = Some(progress.clone());
     let before = cache::stats();
-    let _g = state.trace_gate.read().unwrap_or_else(|e| e.into_inner());
     progress.set_state(JobState::Running);
     let cfg = opts.apply(crate::GpuConfig::titan_v());
     let mut rows = Vec::new();
@@ -1341,6 +1335,69 @@ mod tests {
         let doc = parse(std::str::from_utf8(&reply.body).unwrap()).unwrap();
         assert_eq!(doc.get("state").and_then(Json::as_str), Some("failed"));
         assert_eq!(doc.get("job").and_then(Json::as_str), Some(job.as_str()));
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn traced_and_untraced_submissions_run_concurrently() {
+        let server = start_quiet();
+        let addr = addr_of(&server);
+        let submit = |trace: bool| {
+            let body = format!(
+                r#"{{"experiment": "smem_policy", "options": {{"sample_ctas": 1, "no_cache": true}}, "trace": {trace}}}"#
+            );
+            let reply = http_request(&addr, "POST", "/v1/submit", Some(body.as_bytes())).unwrap();
+            assert_eq!(
+                reply.status,
+                200,
+                "{}",
+                String::from_utf8_lossy(&reply.body)
+            );
+            reply
+        };
+        // Kernel records in a traced submission's artifact.
+        let runs_in_artifact = |reply: &HttpReply| {
+            let digest = reply.header("x-duplo-artifact").expect("trace artifact");
+            let art = http_request(&addr, "GET", &format!("/v1/artifacts/{digest}"), None).unwrap();
+            let doc = parse(std::str::from_utf8(&art.body).unwrap()).unwrap();
+            doc.get("traceEvents")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .iter()
+                .filter(|e| e.get("cat").and_then(Json::as_str) == Some("kernel"))
+                .count()
+        };
+        let solo = runs_in_artifact(&submit(true));
+        assert!(solo > 0, "a traced submission records its runs");
+        // Start both together: neither may wait for the other.
+        let barrier = std::sync::Barrier::new(2);
+        let (traced, plain) = std::thread::scope(|s| {
+            let traced = s.spawn(|| {
+                barrier.wait();
+                submit(true)
+            });
+            let plain = s.spawn(|| {
+                barrier.wait();
+                submit(false)
+            });
+            (traced.join().unwrap(), plain.join().unwrap())
+        });
+        assert!(plain.header("x-duplo-artifact").is_none());
+        assert_eq!(
+            runs_in_artifact(&traced),
+            solo,
+            "the untraced run must not leak into the traced artifact"
+        );
+        let spec = experiments::find_experiment("smem_policy").unwrap();
+        let opts = RunOptions {
+            sample_ctas: Some(1),
+            no_cache: true,
+            ..RunOptions::default()
+        };
+        let expected = (spec.run)(&opts).result.to_pretty();
+        assert_eq!(traced.body, expected.as_bytes());
+        assert_eq!(plain.body, expected.as_bytes());
         server.shutdown();
         server.join();
     }

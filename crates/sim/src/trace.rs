@@ -7,48 +7,48 @@
 //!
 //! # Lifecycle
 //!
-//! A process opts into tracing by opening a [`TraceSession`] with
-//! [`capture`] (the CLI does this for `duplo run --trace <path>` /
-//! `DUPLO_TRACE`). While a session is active, [`crate::GpuSim::run`]
-//! switches to its traced path: each simulated run's per-SM timelines are
-//! aggregated (deterministically, in `sm_id` order) into one
-//! [`RunRecord`] and appended to the session. [`TraceSession::finish`]
-//! returns the collected [`TraceData`] for export. With no session active
-//! — the default — the only cost in the simulator is one atomic load per
-//! run and one branch per SM tick.
+//! A run opts into tracing by carrying a [`TraceSink`] in
+//! [`crate::RunOptions::trace_sink`] (the CLI builds one for
+//! `duplo run --trace <path>` / `DUPLO_TRACE`). [`crate::GpuSim::run`] then
+//! records each simulated kernel's per-SM timelines, aggregated
+//! (deterministically, in `sm_id` order) into one [`RunRecord`], and a
+//! timeline-less record for each kernel served from the run cache.
+//! [`TraceSink::finish`] returns the collected [`TraceData`] for export.
+//! The sink belongs to the run, not the process: runs without one record
+//! nothing, even while a traced run is in flight next to them, and the
+//! only cost of tracing off is one branch per SM tick.
 //!
 //! # Determinism
 //!
-//! Exported documents are byte-identical at any `DUPLO_THREADS`:
+//! Exported documents are byte-identical at any thread count:
 //!
 //! * per-SM samples are folded index-wise in `sm_id` order (sum for
 //!   counters, max for high-water marks), mirroring the order-stable stat
 //!   fold in [`crate::gpu`];
 //! * finished [`RunRecord`]s are sorted by `(kernel, key)` before export,
 //!   so the completion order of parallel experiment drivers cannot leak
-//!   into the document;
-//! * volatile host-side span events (runner workers, wall-clock) are
-//!   recorded only when [`TraceOptions::host_events`] is set (the CLI's
-//!   `--trace-full`), keeping the default export free of nondeterminism.
+//!   into the document.
 //!
 //! # Bounded buffers
 //!
-//! Every buffer is hard-capped (runs, per-SM samples, CTA spans, host
-//! events). Overflow increments a dropped counter that is exported in the
+//! Every buffer is hard-capped (runs, per-SM samples, CTA spans).
+//! Overflow increments a dropped counter that is exported in the
 //! document's `dropped` block — never silently truncated.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
+use std::fmt;
+use std::sync::{Arc, Mutex};
 
+use duplo_isa::Kernel;
 pub use duplo_sm::{CtaSpan, SmSample, SmTraceData, TraceSpec};
 
+use crate::gpu::{GpuConfig, GpuRunResult};
 use crate::json::Json;
 
 /// Version of the exported trace document layout.
 /// v2: per-sample `slices` counter track (slice backlog max/sum + hottest
-/// slice index) for Perfetto slice-camping visibility.
-pub const TRACE_FORMAT_VERSION: u64 = 2;
+/// slice index) for Perfetto slice-camping visibility. v3: the host-span
+/// lane (`pid 0`) and its `dropped.host_events` count are gone.
+pub const TRACE_FORMAT_VERSION: u64 = 3;
 
 // ---------------------------------------------------------------------------
 // Options
@@ -65,11 +65,6 @@ pub struct TraceOptions {
     pub sample_cap: usize,
     /// Maximum simulated-run records kept in a session.
     pub run_cap: usize,
-    /// Maximum host-side span events kept in a session.
-    pub host_cap: usize,
-    /// Record volatile host-side spans (runner workers, wall-clock).
-    /// Off by default so exported documents are deterministic.
-    pub host_events: bool,
 }
 
 impl Default for TraceOptions {
@@ -80,8 +75,6 @@ impl Default for TraceOptions {
             span_cap: spec.span_cap,
             sample_cap: spec.sample_cap,
             run_cap: 4096,
-            host_cap: 4096,
-            host_events: false,
         }
     }
 }
@@ -150,7 +143,7 @@ impl<T> Ring<T> {
 // Records
 // ---------------------------------------------------------------------------
 
-/// One `GpuSim::run` under an active trace session.
+/// One `GpuSim::run` of a run carrying a [`TraceSink`].
 #[derive(Clone, Debug)]
 pub struct RunRecord {
     /// Kernel name.
@@ -177,20 +170,6 @@ pub struct RunRecord {
     pub dropped_spans: u64,
 }
 
-/// A volatile host-side span (recorded only with
-/// [`TraceOptions::host_events`]).
-#[derive(Clone, Debug)]
-pub struct HostEvent {
-    /// Display name.
-    pub name: String,
-    /// Thread lane in the export.
-    pub tid: u64,
-    /// Microseconds since the session opened.
-    pub start_us: u64,
-    /// Span duration in microseconds.
-    pub dur_us: u64,
-}
-
 /// Everything a finished session collected.
 #[derive(Clone, Debug)]
 pub struct TraceData {
@@ -200,170 +179,146 @@ pub struct TraceData {
     pub runs: Vec<RunRecord>,
     /// Runs dropped at [`TraceOptions::run_cap`].
     pub dropped_runs: u64,
-    /// Host-side spans (empty unless `host_events` was on).
-    pub host_events: Vec<HostEvent>,
-    /// Host spans dropped at [`TraceOptions::host_cap`].
-    pub dropped_host_events: u64,
 }
 
 // ---------------------------------------------------------------------------
-// Global session state
+// Run-scoped sink
 // ---------------------------------------------------------------------------
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static HOST_ACTIVE: AtomicBool = AtomicBool::new(false);
-
-struct Collector {
+struct SinkInner {
     opts: TraceOptions,
-    runs: Ring<RunRecord>,
-    host: Ring<HostEvent>,
-    epoch: Instant,
+    runs: Mutex<Ring<RunRecord>>,
 }
 
-static COLLECTOR: OnceLock<Mutex<Option<Collector>>> = OnceLock::new();
+/// A trace collector for the runs that carry it in
+/// [`crate::RunOptions::trace_sink`]. Clones share one buffer; equality is
+/// identity (which keeps [`crate::RunOptions`]'s `PartialEq` honest), and
+/// a sink is never part of a cache key.
+#[derive(Clone)]
+pub struct TraceSink(Arc<SinkInner>);
 
-/// Serializes sessions: at most one [`TraceSession`] exists at a time,
-/// and concurrent tests queue rather than interleave their traces.
-static SESSION_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-fn collector() -> &'static Mutex<Option<Collector>> {
-    COLLECTOR.get_or_init(|| Mutex::new(None))
-}
-
-/// Whether a trace session is active (one atomic load — the simulator's
-/// only cost when tracing is off).
-pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Acquire)
-}
-
-/// The active session's options, if any.
-pub fn options() -> Option<TraceOptions> {
-    if !is_active() {
-        return None;
-    }
-    let slot = collector().lock().unwrap_or_else(|e| e.into_inner());
-    slot.as_ref().map(|c| c.opts)
-}
-
-/// Appends a finished run's record to the active session (no-op when
-/// inactive).
-pub fn record_run(rec: RunRecord) {
-    if !is_active() {
-        return;
-    }
-    let mut slot = collector().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(c) = slot.as_mut() {
-        c.runs.push(rec);
+impl fmt::Debug for TraceSink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TraceSink")
+            .field("options", &self.0.opts)
+            .finish()
     }
 }
 
-/// Whether volatile host-side spans are being recorded.
-pub fn host_enabled() -> bool {
-    HOST_ACTIVE.load(Ordering::Acquire)
-}
-
-/// Records a host-side span from `start` to now (no-op unless
-/// [`host_enabled`]).
-pub fn host_span(name: String, tid: u64, start: Instant) {
-    if !host_enabled() {
-        return;
-    }
-    let end = Instant::now();
-    let mut slot = collector().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(c) = slot.as_mut() {
-        let start_us = start.saturating_duration_since(c.epoch).as_micros() as u64;
-        let dur_us = end.saturating_duration_since(start).as_micros() as u64;
-        c.host.push(HostEvent {
-            name,
-            tid,
-            start_us,
-            dur_us,
-        });
+impl PartialEq for TraceSink {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
-/// An open trace session; dropping it without [`TraceSession::finish`]
-/// discards the collected data.
-pub struct TraceSession {
-    _lock: MutexGuard<'static, ()>,
-    finished: bool,
-}
-
-/// Opens a trace session. Blocks until any other session (e.g. from a
-/// concurrently running test) has closed.
-pub fn capture(opts: TraceOptions) -> TraceSession {
-    let lock = SESSION_LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    {
-        let mut slot = collector().lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(Collector {
+impl TraceSink {
+    /// An empty sink collecting under `opts`.
+    pub fn new(opts: TraceOptions) -> TraceSink {
+        TraceSink(Arc::new(SinkInner {
             opts,
-            runs: Ring::new(opts.run_cap),
-            host: Ring::new(opts.host_cap),
-            epoch: Instant::now(),
-        });
+            runs: Mutex::new(Ring::new(opts.run_cap)),
+        }))
     }
-    HOST_ACTIVE.store(opts.host_events, Ordering::Release);
-    ACTIVE.store(true, Ordering::Release);
-    TraceSession {
-        _lock: lock,
-        finished: false,
-    }
-}
 
-fn deactivate_and_take() -> Option<TraceData> {
-    ACTIVE.store(false, Ordering::Release);
-    HOST_ACTIVE.store(false, Ordering::Release);
-    let mut slot = collector().lock().unwrap_or_else(|e| e.into_inner());
-    let c = slot.take()?;
-    let (mut runs, dropped_runs) = c.runs.into_parts();
-    // Deterministic export order: completion order of parallel drivers
-    // must not leak into the document. Repeats of one (kernel, key) have
-    // identical content, so ties are harmless.
-    runs.sort_by(|a, b| (&a.kernel, &a.key).cmp(&(&b.kernel, &b.key)));
-    let (host_events, dropped_host_events) = c.host.into_parts();
-    // Mirror every dropped counter into the metrics registry so a capped
-    // buffer is visible to a scrape, not only to whoever reads the export.
-    let dropped_samples: u64 = runs.iter().map(|r| r.dropped_samples).sum();
-    let dropped_spans: u64 = runs.iter().map(|r| r.dropped_spans).sum();
-    dropped_gauge("runs").set(dropped_runs as i64);
-    dropped_gauge("samples").set(dropped_samples as i64);
-    dropped_gauge("cta_spans").set(dropped_spans as i64);
-    dropped_gauge("host_events").set(dropped_host_events as i64);
-    Some(TraceData {
-        options: c.opts,
-        runs,
-        dropped_runs,
-        host_events,
-        dropped_host_events,
-    })
+    /// The options this sink collects under.
+    pub fn options(&self) -> TraceOptions {
+        self.0.opts
+    }
+
+    fn record_run(&self, rec: RunRecord) {
+        self.0
+            .runs
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(rec);
+    }
+
+    /// Records one `GpuSim::run` of `kernel` under `cfg`: its per-SM
+    /// `timelines` (in `sm_id` order) when it simulated, or a
+    /// timeline-less `cache_hit` record when `timelines` is `None`.
+    pub(crate) fn record(
+        &self,
+        kernel: &dyn Kernel,
+        cfg: &GpuConfig,
+        result: &GpuRunResult,
+        timelines: Option<Vec<(u64, SmTraceData)>>,
+    ) {
+        let key = crate::digest::hex(crate::cache::run_key(cfg, kernel));
+        let interval = self.0.opts.interval;
+        let mut rec = RunRecord {
+            kernel: kernel.name().to_string(),
+            key,
+            cache_hit: timelines.is_none(),
+            cycles: result.cycles,
+            ctas_simulated: result.ctas_simulated,
+            interval,
+            samples: Vec::new(),
+            cta_spans: Vec::new(),
+            dropped_samples: 0,
+            dropped_spans: 0,
+        };
+        match timelines {
+            None => crate::log::debug(
+                "trace",
+                format_args!("{}: cache hit, no timeline recorded", rec.kernel),
+            ),
+            Some(timelines) => {
+                let refs: Vec<&SmTraceData> = timelines.iter().map(|(_, t)| t).collect();
+                (rec.samples, rec.dropped_samples) = aggregate_samples(&refs, interval);
+                for (sm, t) in &timelines {
+                    rec.dropped_spans += t.dropped_spans;
+                    rec.cta_spans
+                        .extend(t.cta_spans.iter().map(|&span| (*sm, span)));
+                }
+                crate::log::debug(
+                    "trace",
+                    format_args!(
+                        "{}: {} samples, {} cta spans ({} SMs)",
+                        rec.kernel,
+                        rec.samples.len(),
+                        rec.cta_spans.len(),
+                        timelines.len()
+                    ),
+                );
+            }
+        }
+        self.record_run(rec);
+    }
+
+    /// Takes everything collected so far (the sink starts over empty),
+    /// with the runs sorted for a deterministic export.
+    pub fn finish(&self) -> TraceData {
+        let ring = std::mem::replace(
+            &mut *self.0.runs.lock().unwrap_or_else(|e| e.into_inner()),
+            Ring::new(self.0.opts.run_cap),
+        );
+        let (mut runs, dropped_runs) = ring.into_parts();
+        // Deterministic export order: completion order of parallel drivers
+        // must not leak into the document. Repeats of one (kernel, key) have
+        // identical content, so ties are harmless.
+        runs.sort_by(|a, b| (&a.kernel, &a.key).cmp(&(&b.kernel, &b.key)));
+        // Mirror every dropped counter into the metrics registry so a capped
+        // buffer is visible to a scrape, not only to whoever reads the export.
+        let dropped_samples: u64 = runs.iter().map(|r| r.dropped_samples).sum();
+        let dropped_spans: u64 = runs.iter().map(|r| r.dropped_spans).sum();
+        dropped_gauge("runs").set(dropped_runs as i64);
+        dropped_gauge("samples").set(dropped_samples as i64);
+        dropped_gauge("cta_spans").set(dropped_spans as i64);
+        TraceData {
+            options: self.0.opts,
+            runs,
+            dropped_runs,
+        }
+    }
 }
 
 /// The `duplo_trace_dropped{kind=...}` gauge for one capped buffer kind
-/// (value: drops in the most recently finished trace session).
+/// (value: drops in the most recently finished trace).
 fn dropped_gauge(kind: &str) -> crate::metrics::Gauge {
     crate::metrics::volatile_gauge(
         &crate::metrics::labeled("duplo_trace_dropped", &[("kind", kind)]),
         "Trace-buffer entries dropped at a cap in the last session, by kind",
     )
-}
-
-impl TraceSession {
-    /// Closes the session and returns everything it collected.
-    pub fn finish(mut self) -> TraceData {
-        self.finished = true;
-        deactivate_and_take().expect("session was active")
-    }
-}
-
-impl Drop for TraceSession {
-    fn drop(&mut self) {
-        if !self.finished {
-            let _ = deactivate_and_take();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -468,31 +423,13 @@ fn counter_event(name: &str, pid: u64, ts: u64, args: Json) -> Json {
 impl TraceData {
     /// Serializes the session as a Chrome trace-event document (object
     /// form, Perfetto-compatible). Timestamps are simulation cycles
-    /// interpreted as microseconds; host spans (if recorded) live in
-    /// `pid 0` with real microseconds. The top level carries
+    /// interpreted as microseconds. The top level carries
     /// `schema_version` so `json_check` accepts trace files, plus a
     /// `dropped` block accounting for every capped buffer.
     pub fn to_chrome_json(&self) -> Json {
         let mut events: Vec<Json> = Vec::new();
         let mut dropped_samples = 0u64;
         let mut dropped_spans = 0u64;
-        if !self.host_events.is_empty() {
-            events.push(
-                event_base("process_name", "M", 0)
-                    .field("args", Json::obj().field("name", "host").build())
-                    .build(),
-            );
-            for ev in &self.host_events {
-                events.push(
-                    event_base(ev.name.as_str(), "X", 0)
-                        .field("tid", ev.tid)
-                        .field("ts", ev.start_us)
-                        .field("dur", ev.dur_us)
-                        .field("cat", "host")
-                        .build(),
-                );
-            }
-        }
         for (idx, run) in self.runs.iter().enumerate() {
             let pid = idx as u64 + 1;
             dropped_samples += run.dropped_samples;
@@ -670,7 +607,6 @@ impl TraceData {
                     .field("runs", self.dropped_runs)
                     .field("samples", dropped_samples)
                     .field("cta_spans", dropped_spans)
-                    .field("host_events", self.dropped_host_events)
                     .build(),
             )
             .field("traceEvents", Json::Arr(events))
@@ -743,9 +679,6 @@ pub fn summarize_chrome(doc: &Json, max_phases: usize) -> Result<String, String>
         let Some(pid) = ev.get("pid").and_then(Json::as_u64) else {
             continue;
         };
-        if pid == 0 {
-            continue; // host lane: volatile, not part of the phase table
-        }
         if !pids.contains(&pid) {
             pids.push(pid);
         }
@@ -826,17 +759,16 @@ pub fn summarize_chrome(doc: &Json, max_phases: usize) -> Result<String, String>
         pids.len(),
         interval
     ));
-    let total_dropped = dget("runs") + dget("samples") + dget("cta_spans") + dget("host_events");
+    let total_dropped = dget("runs") + dget("samples") + dget("cta_spans");
     if total_dropped > 0 {
         out.push_str(&format!(
             "WARNING: {total_dropped} trace event(s) were dropped at a buffer cap — \
              this summary UNDER-REPORTS the run.\n\
-             WARNING: dropped: runs={} samples={} cta_spans={} host_events={} \
+             WARNING: dropped: runs={} samples={} cta_spans={} \
              (raise the caps or the sample interval and re-trace)\n",
             dget("runs"),
             dget("samples"),
-            dget("cta_spans"),
-            dget("host_events")
+            dget("cta_spans")
         ));
     }
     for &pid in &pids {
@@ -957,11 +889,10 @@ mod tests {
 
     #[test]
     fn capture_finish_roundtrip_with_sorting() {
-        let session = capture(TraceOptions {
+        let sink = TraceSink::new(TraceOptions {
             run_cap: 2,
             ..TraceOptions::default()
         });
-        assert!(is_active());
         let rec = |kernel: &str, key: &str| RunRecord {
             kernel: kernel.to_string(),
             key: key.to_string(),
@@ -974,14 +905,15 @@ mod tests {
             dropped_samples: 0,
             dropped_spans: 0,
         };
-        record_run(rec("zeta", "00"));
-        record_run(rec("alpha", "ff"));
-        record_run(rec("alpha", "aa")); // over run_cap: dropped
-        let data = session.finish();
-        assert!(!is_active());
+        sink.record_run(rec("zeta", "00"));
+        sink.record_run(rec("alpha", "ff"));
+        sink.record_run(rec("alpha", "aa")); // over run_cap: dropped
+        let data = sink.finish();
         assert_eq!(data.dropped_runs, 1);
         let order: Vec<&str> = data.runs.iter().map(|r| r.kernel.as_str()).collect();
         assert_eq!(order, ["alpha", "zeta"], "export order is (kernel, key)");
+        // Finishing empties the sink.
+        assert!(sink.finish().runs.is_empty());
     }
 
     #[test]
@@ -1015,8 +947,6 @@ mod tests {
                 dropped_spans: 0,
             }],
             dropped_runs: 0,
-            host_events: vec![],
-            dropped_host_events: 0,
         };
         let doc = data.to_chrome_json();
         // Round-trips through the strict in-tree parser.
@@ -1042,13 +972,10 @@ mod tests {
             options: TraceOptions::default(),
             runs: vec![],
             dropped_runs: 3,
-            host_events: vec![],
-            dropped_host_events: 1,
         };
         let table = summarize_chrome(&data.to_chrome_json(), 16).unwrap();
         assert!(table.contains("WARNING"), "table:\n{table}");
         assert!(table.contains("UNDER-REPORTS"), "table:\n{table}");
         assert!(table.contains("runs=3"), "table:\n{table}");
-        assert!(table.contains("host_events=1"), "table:\n{table}");
     }
 }

@@ -52,25 +52,26 @@
 //!
 //! # Record/replay sessions
 //!
-//! [`record`] opens a process-global recording session: every kernel that
-//! reaches [`crate::GpuSim::run`] is serialized (deduplicated by content)
-//! into the session; [`RecordSession::finish`] returns the collected
-//! records in a deterministic order, so recorded documents are
-//! byte-identical at any `DUPLO_THREADS`. [`replay`] opens the inverse
-//! session: each kernel the experiment generates is swapped for the
-//! matching [`TraceKernel`] before simulation, so the decoded trace — not
-//! the generator — is what actually drives the SM model. The cache key of
-//! a replayed kernel is salted with the trace content digest
-//! ([`Kernel::content_digest`]), so replay runs never alias generator runs
-//! in the run cache, while identical traces loaded from different file
-//! paths share one entry.
+//! A [`WtraceSession`] rides on [`crate::RunOptions::wtrace`], so it
+//! applies to exactly the runs that carry it. A recording session
+//! ([`WtraceSession::record`]) captures every kernel those runs reach
+//! [`crate::GpuSim::run`] with (deduplicated by content);
+//! [`WtraceSession::records`] returns them in a deterministic order, so
+//! recorded documents are byte-identical at any thread count. A replay
+//! session ([`WtraceSession::replay`]) swaps each kernel the experiment
+//! generates for the matching [`TraceKernel`] before simulation, so the
+//! decoded trace — not the generator — is what actually drives the SM
+//! model. The cache key of a replayed kernel is salted with the trace
+//! content digest ([`Kernel::content_digest`]), so replay runs never alias
+//! generator runs in the run cache, while identical traces loaded from
+//! different file paths share one entry.
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use duplo_isa::{ArchReg, CtaTrace, Kernel, Op, Space, WarpTrace, WorkspaceDesc, validate_cta};
 
@@ -128,7 +129,7 @@ impl KernelRecord {
 
     /// The session-matching key: descriptor fields plus the recorded CTA
     /// index set (but not the instruction bytes), the identity under which
-    /// [`replay`] swaps a generated kernel for this record.
+    /// a replay session swaps a generated kernel for this record.
     pub fn match_key(&self) -> u128 {
         let indices: Vec<usize> = self.ctas.iter().map(|&(i, _)| i).collect();
         match_key_parts(
@@ -186,7 +187,8 @@ fn match_key_parts(
 
 /// The CTA indices a run of `kernel` under `cfg` actually simulates: each
 /// representative SM's round-robin share, truncated to the sampling
-/// prefix. This is what [`record`] captures and what [`replay`] matches.
+/// prefix. This is what a recording session captures and a replay session
+/// matches.
 pub fn simulated_ctas(cfg: &GpuConfig, num_ctas: usize) -> Vec<usize> {
     let mut set = BTreeSet::new();
     for sm_id in 0..cfg.sms_simulated {
@@ -812,194 +814,133 @@ impl Kernel for TraceKernel {
 // Record/replay sessions
 // ---------------------------------------------------------------------------
 
-static RECORDING: AtomicBool = AtomicBool::new(false);
-static REPLAYING: AtomicBool = AtomicBool::new(false);
-
-enum SessionState {
-    Record {
-        /// match key -> captured record, deduplicated.
-        kernels: HashMap<u128, KernelRecord>,
-    },
+enum Session {
+    /// match key -> captured record, deduplicated.
+    Record(Mutex<HashMap<u128, KernelRecord>>),
+    /// match key -> replacement kernel, plus the substitution count.
     Replay {
-        /// match key -> replacement kernel.
         kernels: HashMap<u128, Arc<TraceKernel>>,
-        substituted: u64,
+        substituted: AtomicU64,
     },
 }
 
-static STATE: OnceLock<Mutex<Option<SessionState>>> = OnceLock::new();
+/// A record or replay session for the runs that carry it in
+/// [`crate::RunOptions::wtrace`]. Clones share one session; equality is
+/// identity, and a session is never part of a cache key.
+#[derive(Clone)]
+pub struct WtraceSession(Arc<Session>);
 
-/// Serializes sessions: at most one record **or** replay session exists at
-/// a time, and concurrent tests queue rather than interleave.
-static SESSION_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-fn state() -> &'static Mutex<Option<SessionState>> {
-    STATE.get_or_init(|| Mutex::new(None))
-}
-
-fn session_lock() -> MutexGuard<'static, ()> {
-    SESSION_LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Called by [`crate::GpuSim::run`] on every kernel before simulation:
-/// captures the kernel into the active recording session, if any. The
-/// capture happens ahead of the run-cache lookup, so recording sees every
-/// kernel even when its result is served from cache. Kernels that are
-/// themselves replayed traces are skipped.
-pub fn observe(cfg: &GpuConfig, kernel: &dyn Kernel) {
-    if !RECORDING.load(Ordering::Acquire) || kernel.content_digest().is_some() {
-        return;
-    }
-    let key = match_key_for(cfg, kernel);
-    {
-        let slot = state().lock().unwrap_or_else(|e| e.into_inner());
-        match slot.as_ref() {
-            Some(SessionState::Record { kernels }) if !kernels.contains_key(&key) => {}
-            _ => return, // no session, or this kernel is already captured
+impl fmt::Debug for WtraceSession {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &*self.0 {
+            Session::Record(_) => f.write_str("WtraceSession::Record"),
+            Session::Replay { .. } => f.write_str("WtraceSession::Replay"),
         }
     }
-    // Materialize outside the lock: CTA generation dominates, and a racing
-    // duplicate capture is deterministic in content, so last-insert wins
-    // harmlessly.
-    let record = KernelRecord::capture(kernel, &simulated_ctas(cfg, kernel.num_ctas()));
-    let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(SessionState::Record { kernels }) = slot.as_mut() {
-        kernels.insert(key, record);
+}
+
+impl PartialEq for WtraceSession {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
-/// Called by [`crate::GpuSim::run`] on every kernel before simulation:
-/// under an active replay session, returns the recorded [`TraceKernel`]
-/// to simulate instead of `kernel`.
-///
-/// # Panics
-///
-/// Panics when a replay session is active but holds no record matching
-/// the kernel — the trace file was recorded for a different experiment or
-/// under a different sampling configuration, and silently falling back to
-/// the generator would make replay vacuous.
-pub fn substitute(cfg: &GpuConfig, kernel: &dyn Kernel) -> Option<Arc<TraceKernel>> {
-    if !REPLAYING.load(Ordering::Acquire) || kernel.content_digest().is_some() {
-        return None;
+impl WtraceSession {
+    /// A recording session: every kernel a run carrying it reaches
+    /// [`crate::GpuSim::run`] with is captured (deduplicated by descriptor
+    /// + simulated-CTA set) ahead of the run-cache lookup, so recording
+    /// works even when every run is a cache hit.
+    pub fn record() -> WtraceSession {
+        WtraceSession(Arc::new(Session::Record(Mutex::new(HashMap::new()))))
     }
-    let key = match_key_for(cfg, kernel);
-    let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-    let Some(SessionState::Replay {
-        kernels,
-        substituted,
-    }) = slot.as_mut()
-    else {
-        return None;
-    };
-    match kernels.get(&key) {
-        Some(rk) => {
-            *substituted += 1;
-            Some(Arc::clone(rk))
-        }
-        None => panic!(
-            "wtrace replay: no recorded kernel matches {:?} ({} CTAs simulated of {}); \
-             the trace was recorded for a different experiment or sampling configuration",
-            kernel.name(),
-            simulated_ctas(cfg, kernel.num_ctas()).len(),
-            kernel.num_ctas(),
-        ),
+
+    /// A replay session over `kernels`: every generated kernel a run
+    /// carrying it simulates is swapped for its recorded trace (matched by
+    /// descriptor + simulated-CTA set).
+    pub fn replay(kernels: Vec<TraceKernel>) -> WtraceSession {
+        let kernels = kernels
+            .into_iter()
+            .map(|k| (k.record.match_key(), Arc::new(k)))
+            .collect();
+        WtraceSession(Arc::new(Session::Replay {
+            kernels,
+            substituted: AtomicU64::new(0),
+        }))
     }
-}
 
-/// An open recording session; see [`record`].
-pub struct RecordSession {
-    _lock: MutexGuard<'static, ()>,
-}
-
-/// Opens a recording session: until [`RecordSession::finish`], every
-/// kernel reaching [`crate::GpuSim::run`] is captured (deduplicated by
-/// descriptor + simulated-CTA set). Blocks until any other wtrace session
-/// has closed.
-pub fn record() -> RecordSession {
-    let lock = session_lock();
-    {
-        let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(SessionState::Record {
-            kernels: HashMap::new(),
-        });
-    }
-    RECORDING.store(true, Ordering::Release);
-    RecordSession { _lock: lock }
-}
-
-impl RecordSession {
-    /// Closes the session and returns the captured records, sorted by
-    /// `(name, content digest)` so the encoded document is byte-identical
-    /// at any `DUPLO_THREADS`.
-    pub fn finish(self) -> Vec<KernelRecord> {
-        RECORDING.store(false, Ordering::Release);
-        let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-        let Some(SessionState::Record { kernels }) = slot.take() else {
+    /// The records captured so far, sorted by `(name, content digest)` so
+    /// the encoded document is byte-identical at any thread count (empty
+    /// for a replay session).
+    pub fn records(&self) -> Vec<KernelRecord> {
+        let Session::Record(kernels) = &*self.0 else {
             return Vec::new();
         };
-        let mut records: Vec<KernelRecord> = kernels.into_values().collect();
+        let kernels = kernels.lock().unwrap_or_else(|e| e.into_inner());
+        let mut records: Vec<KernelRecord> = kernels.values().cloned().collect();
         records.sort_by_key(|r| (r.name.clone(), r.content_digest()));
         records
     }
-}
 
-impl Drop for RecordSession {
-    fn drop(&mut self) {
-        RECORDING.store(false, Ordering::Release);
-        let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(slot.as_ref(), Some(SessionState::Record { .. })) {
-            *slot = None;
+    /// How many runs a replay session has substituted (0 when recording).
+    pub fn substituted(&self) -> u64 {
+        match &*self.0 {
+            Session::Record(_) => 0,
+            Session::Replay { substituted, .. } => substituted.load(Ordering::Relaxed),
         }
     }
-}
 
-/// An open replay session; see [`replay`].
-pub struct ReplaySession {
-    _lock: MutexGuard<'static, ()>,
-}
-
-/// Opens a replay session over `kernels`: until the session closes, every
-/// generated kernel reaching [`crate::GpuSim::run`] is swapped for its
-/// recorded trace (matched by descriptor + simulated-CTA set). Blocks
-/// until any other wtrace session has closed.
-pub fn replay(kernels: Vec<TraceKernel>) -> ReplaySession {
-    let lock = session_lock();
-    let map: HashMap<u128, Arc<TraceKernel>> = kernels
-        .into_iter()
-        .map(|k| (k.record.match_key(), Arc::new(k)))
-        .collect();
-    {
-        let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(SessionState::Replay {
-            kernels: map,
-            substituted: 0,
-        });
-    }
-    REPLAYING.store(true, Ordering::Release);
-    ReplaySession { _lock: lock }
-}
-
-impl ReplaySession {
-    /// Closes the session and returns how many runs were substituted.
-    pub fn finish(self) -> u64 {
-        REPLAYING.store(false, Ordering::Release);
-        let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-        match slot.take() {
-            Some(SessionState::Replay { substituted, .. }) => substituted,
-            _ => 0,
+    /// Called by [`crate::GpuSim::run`] on every kernel before simulation:
+    /// captures `kernel` in a recording session, or returns the recorded
+    /// [`TraceKernel`] to simulate instead of it in a replay session.
+    /// Kernels that are themselves replayed traces pass through untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a replay session holds no record matching the kernel —
+    /// the trace file was recorded for a different experiment or under a
+    /// different sampling configuration, and silently falling back to the
+    /// generator would make replay vacuous.
+    pub(crate) fn resolve(&self, cfg: &GpuConfig, kernel: &dyn Kernel) -> Option<Arc<TraceKernel>> {
+        if kernel.content_digest().is_some() {
+            return None;
         }
-    }
-}
-
-impl Drop for ReplaySession {
-    fn drop(&mut self) {
-        REPLAYING.store(false, Ordering::Release);
-        let mut slot = state().lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(slot.as_ref(), Some(SessionState::Replay { .. })) {
-            *slot = None;
+        let key = match_key_for(cfg, kernel);
+        match &*self.0 {
+            Session::Record(kernels) => {
+                let seen = kernels
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .contains_key(&key);
+                if !seen {
+                    // Materialize outside the lock: CTA generation
+                    // dominates, and a racing duplicate capture is
+                    // deterministic in content, so last-insert wins
+                    // harmlessly.
+                    let record =
+                        KernelRecord::capture(kernel, &simulated_ctas(cfg, kernel.num_ctas()));
+                    kernels
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .insert(key, record);
+                }
+                None
+            }
+            Session::Replay {
+                kernels,
+                substituted,
+            } => match kernels.get(&key) {
+                Some(rk) => {
+                    substituted.fetch_add(1, Ordering::Relaxed);
+                    Some(Arc::clone(rk))
+                }
+                None => panic!(
+                    "wtrace replay: no recorded kernel matches {:?} ({} CTAs simulated of {}); \
+                     the trace was recorded for a different experiment or sampling configuration",
+                    kernel.name(),
+                    simulated_ctas(cfg, kernel.num_ctas()).len(),
+                    kernel.num_ctas(),
+                ),
+            },
         }
     }
 }

@@ -3,17 +3,18 @@
 //! JSON serializer, single-flight semantics under a parallel runner, and
 //! corrupted-disk-entry fallback.
 //!
-//! Every test that relies on cache behaviour holds a `cache::scoped_dir`
-//! guard: the guard serializes cache tests on a global lock (so one
-//! test's `cache::bypass` window cannot leak into another's hit counting)
-//! and pins the disk tier to a known directory (or to memory-only).
+//! Each test names its own disk tier (`RunOptions::cache_dir`) or none
+//! (memory only). The hit/miss counters behind `cache::stats()` are
+//! process-wide telemetry, so the tests that move them serialize on
+//! `STATS` to keep each delta assertion to their own traffic.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use duplo_core::LhbConfig;
 use duplo_kernels::{GemmTcKernel, SmemPolicy};
 use duplo_sim::json::{Json, parse};
-use duplo_sim::{GpuConfig, GpuSim, cache, digest, runner};
+use duplo_sim::{GpuConfig, GpuSim, RunOptions, cache, digest, runner};
 use duplo_testkit::prop;
 
 /// A configuration with a process-unique cache key: `clock_mhz` is part
@@ -27,15 +28,41 @@ fn unique_cfg() -> GpuConfig {
     cfg
 }
 
+static STATS: Mutex<()> = Mutex::new(());
+
+fn stats_lock() -> MutexGuard<'static, ()> {
+    STATS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Cache controls with the disk tier at `dir` (`None`: memory only).
+fn ctl(dir: Option<std::path::PathBuf>) -> cache::CacheCtl {
+    RunOptions {
+        cache_dir: dir,
+        ..RunOptions::default()
+    }
+    .cache_ctl()
+}
+
+/// Runs that bypass the cache (the simulator really runs).
+fn uncached() -> RunOptions {
+    RunOptions {
+        no_cache: true,
+        ..RunOptions::default()
+    }
+}
+
 /// One cached lookup whose `compute` path counts simulator invocations.
-/// The inner `bypass` guard keeps the nested `GpuSim::run` from
-/// re-entering the cache under the same key (which would self-deadlock
-/// the single-flight slot).
-fn counted_run(cfg: &GpuConfig, kernel: &GemmTcKernel, sims: &AtomicUsize) -> String {
-    let r = cache::run_cached(cfg, kernel, || {
+/// The nested `GpuSim::run` is uncached, so it cannot re-enter the cache
+/// under the same key (which would self-deadlock the single-flight slot).
+fn counted_run(
+    ctl: &cache::CacheCtl,
+    cfg: &GpuConfig,
+    kernel: &GemmTcKernel,
+    sims: &AtomicUsize,
+) -> String {
+    let r = cache::run_cached_ctl(ctl, cfg, kernel, || {
         sims.fetch_add(1, Ordering::SeqCst);
-        let _nocache = cache::bypass();
-        GpuSim::new(cfg.clone()).run(kernel)
+        GpuSim::with_options(cfg.clone(), uncached()).run(kernel)
     });
     cache::result_to_json(&r).to_pretty()
 }
@@ -99,13 +126,14 @@ fn run_key_distinguishes_configs_and_kernels() {
 
 #[test]
 fn memory_hit_is_byte_identical_and_skips_simulation() {
-    let _dir = cache::scoped_dir(None); // memory tier only
+    let _stats = stats_lock();
+    let ctl = ctl(None); // memory tier only
     let cfg = unique_cfg();
     let kernel = GemmTcKernel::new(48, 32, 16, SmemPolicy::COnly);
     let sims = AtomicUsize::new(0);
-    let fresh = counted_run(&cfg, &kernel, &sims);
+    let fresh = counted_run(&ctl, &cfg, &kernel, &sims);
     let before = cache::stats();
-    let cached = counted_run(&cfg, &kernel, &sims);
+    let cached = counted_run(&ctl, &cfg, &kernel, &sims);
     let delta = cache::stats().since(&before);
     assert_eq!(
         sims.load(Ordering::SeqCst),
@@ -124,11 +152,12 @@ fn memory_hit_is_byte_identical_and_skips_simulation() {
 fn disk_tier_round_trips_byte_identically() {
     let dir = std::env::temp_dir().join(format!("duplo-cache-disk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let _g = cache::scoped_dir(Some(dir.clone()));
+    let _stats = stats_lock();
+    let ctl = ctl(Some(dir.clone()));
     let cfg = unique_cfg();
     let kernel = GemmTcKernel::new(32, 48, 16, SmemPolicy::COnly);
     let sims = AtomicUsize::new(0);
-    let fresh = counted_run(&cfg, &kernel, &sims);
+    let fresh = counted_run(&ctl, &cfg, &kernel, &sims);
     assert_eq!(sims.load(Ordering::SeqCst), 1);
     let entries: Vec<_> = std::fs::read_dir(&dir)
         .expect("cache dir must exist")
@@ -139,7 +168,7 @@ fn disk_tier_round_trips_byte_identically() {
     // simulator, and serialize to the same bytes.
     cache::clear_memory();
     let before = cache::stats();
-    let reloaded = counted_run(&cfg, &kernel, &sims);
+    let reloaded = counted_run(&ctl, &cfg, &kernel, &sims);
     let delta = cache::stats().since(&before);
     assert_eq!(
         sims.load(Ordering::SeqCst),
@@ -156,11 +185,12 @@ fn disk_tier_round_trips_byte_identically() {
 fn corrupted_disk_entry_falls_back_to_simulation_and_repairs() {
     let dir = std::env::temp_dir().join(format!("duplo-cache-corrupt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let _g = cache::scoped_dir(Some(dir.clone()));
+    let _stats = stats_lock();
+    let ctl = ctl(Some(dir.clone()));
     let cfg = unique_cfg();
     let kernel = GemmTcKernel::new(16, 48, 32, SmemPolicy::COnly);
     let sims = AtomicUsize::new(0);
-    let fresh = counted_run(&cfg, &kernel, &sims);
+    let fresh = counted_run(&ctl, &cfg, &kernel, &sims);
     let entry = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -170,7 +200,7 @@ fn corrupted_disk_entry_falls_back_to_simulation_and_repairs() {
         std::fs::write(&entry, garbage).unwrap();
         cache::clear_memory();
         let n_before = sims.load(Ordering::SeqCst);
-        let recomputed = counted_run(&cfg, &kernel, &sims);
+        let recomputed = counted_run(&ctl, &cfg, &kernel, &sims);
         assert_eq!(
             sims.load(Ordering::SeqCst),
             n_before + 1,
@@ -190,8 +220,8 @@ fn corrupted_disk_entry_falls_back_to_simulation_and_repairs() {
 
 #[test]
 fn single_flight_under_four_threads() {
-    let _dir = cache::scoped_dir(None);
-    let _threads = runner::override_threads(4);
+    let _stats = stats_lock();
+    let ctl = ctl(None);
     prop::check(
         "cache_single_flight",
         8,
@@ -206,19 +236,12 @@ fn single_flight_under_four_threads() {
         |&(m, n, k)| {
             let cfg = unique_cfg(); // private key even when dims repeat
             let kernel = GemmTcKernel::new(m, n, k, SmemPolicy::COnly);
-            // Simulate once up front, outside the cache. The parallel
-            // compute closures must not hold the (process-global) bypass
-            // guard: while one lane held it the others would skip the
-            // cache entirely, which is exactly the interference this test
-            // is meant to rule out of the cache itself.
-            let expected = {
-                let _nocache = cache::bypass();
-                GpuSim::new(cfg.clone()).run(&kernel)
-            };
+            // Simulate once up front, outside the cache.
+            let expected = GpuSim::with_options(cfg.clone(), uncached()).run(&kernel);
             let sims = AtomicUsize::new(0);
             let lanes: Vec<usize> = (0..8).collect();
-            let runs = runner::par_map(&lanes, |_| {
-                let r = cache::run_cached(&cfg, &kernel, || {
+            let runs = runner::par_map_opt(Some(4), &lanes, |_| {
+                let r = cache::run_cached_ctl(&ctl, &cfg, &kernel, || {
                     sims.fetch_add(1, Ordering::SeqCst);
                     expected.clone()
                 });

@@ -1,15 +1,15 @@
 //! Determinism gate for the parallel execution engine: the same experiment
 //! must render byte-identical tables at every thread count.
 //!
-//! `scripts/ci.sh` runs this test binary twice, under `DUPLO_THREADS=1`
-//! and `DUPLO_THREADS=4`, so both the env-variable path and the in-process
-//! override path of `duplo_sim::runner` are exercised.
+//! `scripts/ci.sh` runs this binary under `DUPLO_THREADS`,
+//! `DUPLO_TICK_REFERENCE` and `DUPLO_L2_SLICES` settings: the base options
+//! come from `RunOptions::from_env`, and the thread-count comparisons set
+//! `threads: Some(1)` vs `Some(4)` inside the process.
 
 use duplo_sim::experiments::{
     RunOptions, fig09_lhb_size, fig10_hit_rate, size_configs, sweep_layers,
 };
 use duplo_sim::networks::all_layers;
-use duplo_sim::runner;
 
 /// The three smallest Table I layers (deterministically picked), keeping
 /// debug-mode runtime bounded while still fanning 15 jobs out.
@@ -23,8 +23,25 @@ fn probe_layers() -> Vec<duplo_sim::networks::LayerSpec> {
     layers
 }
 
-fn render_once() -> String {
-    let sweeps = sweep_layers(&probe_layers(), &size_configs(), &RunOptions::quick());
+/// Quick sampling over the environment's settings, with the run cache off:
+/// a memoized second sweep would make the comparisons vacuous.
+fn base() -> RunOptions {
+    RunOptions {
+        sample_ctas: Some(2),
+        no_cache: true,
+        ..RunOptions::from_env().expect("valid DUPLO_* environment")
+    }
+}
+
+fn with_threads(n: usize) -> RunOptions {
+    RunOptions {
+        threads: Some(n),
+        ..base()
+    }
+}
+
+fn render_once(opts: &RunOptions) -> String {
+    let sweeps = sweep_layers(&probe_layers(), &size_configs(), opts);
     format!(
         "{}{}",
         fig09_lhb_size::render(&sweeps),
@@ -34,19 +51,9 @@ fn render_once() -> String {
 
 #[test]
 fn experiment_tables_identical_at_one_and_many_threads() {
-    // Bypass the run cache: a memoized second sweep would make the
-    // thread-count comparison vacuous.
-    let _nocache = duplo_sim::cache::bypass();
-    let serial = {
-        let _g = runner::override_threads(1);
-        render_once()
-    };
-    let parallel = {
-        let _g = runner::override_threads(4);
-        render_once()
-    };
     assert_eq!(
-        serial, parallel,
+        render_once(&with_threads(1)),
+        render_once(&with_threads(4)),
         "rendered tables must be byte-identical regardless of thread count"
     );
 }
@@ -56,22 +63,13 @@ fn experiment_tables_identical_at_one_and_many_threads() {
 /// be byte-identical at every thread count.
 #[test]
 fn json_results_identical_at_one_and_many_threads() {
-    let _nocache = duplo_sim::cache::bypass();
-    let json_once = || {
-        let opts = RunOptions::quick();
-        let sweeps = sweep_layers(&probe_layers(), &size_configs(), &opts);
-        fig09_lhb_size::result(&sweeps, &opts).to_pretty()
-    };
-    let serial = {
-        let _g = runner::override_threads(1);
-        json_once()
-    };
-    let parallel = {
-        let _g = runner::override_threads(4);
-        json_once()
+    let json_once = |opts: &RunOptions| {
+        let sweeps = sweep_layers(&probe_layers(), &size_configs(), opts);
+        fig09_lhb_size::result(&sweeps, opts).to_pretty()
     };
     assert_eq!(
-        serial, parallel,
+        json_once(&with_threads(1)),
+        json_once(&with_threads(4)),
         "JSON results must be byte-identical regardless of thread count"
     );
 }
@@ -80,11 +78,5 @@ fn json_results_identical_at_one_and_many_threads() {
 fn ambient_thread_count_matches_forced_serial() {
     // Under ci.sh this runs with DUPLO_THREADS set in the environment;
     // whatever the ambient configuration is, output must match serial.
-    let _nocache = duplo_sim::cache::bypass();
-    let ambient = render_once();
-    let serial = {
-        let _g = runner::override_threads(1);
-        render_once()
-    };
-    assert_eq!(ambient, serial);
+    assert_eq!(render_once(&base()), render_once(&with_threads(1)));
 }

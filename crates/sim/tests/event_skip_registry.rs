@@ -3,32 +3,36 @@
 //! table and structured result must be byte-identical between the
 //! event-driven wakeup-wheel loop and the tick-by-tick reference.
 //!
-//! One `#[test]` per file: this flips the process-global
-//! `force_tick_reference` toggle and must own its process.
+//! `scripts/ci.sh` runs it flat and at `DUPLO_L2_SLICES=4`: the base
+//! options come from `RunOptions::from_env`, and each run picks its loop
+//! with `RunOptions::tick_reference`.
 
-use duplo_sim::cache;
 use duplo_sim::experiments::{RunOptions, registry};
-use duplo_sm::force_tick_reference;
 
 #[test]
 #[ignore = "full registry x2 — run in release via scripts/ci.sh"]
 fn full_registry_matches_reference_loop() {
-    let _nocache = cache::bypass();
-    let opts = RunOptions::quick();
+    let event = RunOptions {
+        sample_ctas: Some(2),
+        no_cache: true,
+        tick_reference: false,
+        ..RunOptions::from_env().expect("valid DUPLO_* environment")
+    };
+    let reference = RunOptions {
+        tick_reference: true,
+        ..event.clone()
+    };
     for spec in registry() {
-        force_tick_reference(false);
-        let event = (spec.run)(&opts);
-        force_tick_reference(true);
-        let reference = (spec.run)(&opts);
-        force_tick_reference(false);
+        let e = (spec.run)(&event);
+        let r = (spec.run)(&reference);
         assert_eq!(
-            event.rendered, reference.rendered,
+            e.rendered, r.rendered,
             "{}: rendered table diverged",
             spec.name
         );
         assert_eq!(
-            event.result.to_json().to_pretty(),
-            reference.result.to_json().to_pretty(),
+            e.result.to_json().to_pretty(),
+            r.result.to_json().to_pretty(),
             "{}: structured result diverged",
             spec.name
         );

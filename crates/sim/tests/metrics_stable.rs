@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use duplo_sim::experiments::find_experiment;
 use duplo_sim::json::Json;
-use duplo_sim::{RunOptions, metrics, runner};
+use duplo_sim::{RunOptions, metrics};
 
 /// Stable metric values by name. Histograms are volatile by definition,
 /// so every stable entry is a scalar `value`.
@@ -44,9 +44,11 @@ fn stable_metric_deltas_are_thread_count_invariant() {
         ..RunOptions::default()
     };
     let run_and_measure = |threads: usize| {
-        let _guard = runner::override_threads(threads);
         let before = snapshot_map();
-        let _ = (spec.run)(&opts);
+        let _ = (spec.run)(&RunOptions {
+            threads: Some(threads),
+            ..opts.clone()
+        });
         delta(&before, &snapshot_map())
     };
     let d1 = run_and_measure(1);

@@ -14,13 +14,16 @@ use duplo_kernels::{GemmTcKernel, SmemPolicy};
 use duplo_sim::json::{Json, parse};
 use duplo_sim::serve::{ServeOptions, Server, http_request};
 use duplo_sim::wtrace::{KernelRecord, encode, simulated_ctas};
-use duplo_sim::{GpuConfig, digest, runner};
+use duplo_sim::{GpuConfig, RunOptions, digest};
 
 #[test]
 fn progress_endpoint_reports_queued_running_done() {
-    let _guard = runner::override_threads(2);
     let server = Server::start(ServeOptions {
         workers: 2,
+        defaults: RunOptions {
+            threads: Some(2),
+            ..RunOptions::default()
+        },
         ..ServeOptions::default()
     })
     .expect("server must bind an ephemeral port");

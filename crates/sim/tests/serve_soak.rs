@@ -13,13 +13,13 @@
 //! exceeds the worker count, and (afterwards) that the request counters
 //! account for exactly every client submission.
 
-use std::sync::Arc;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 use duplo_sim::experiments::find_experiment;
 use duplo_sim::json::{Json, parse};
 use duplo_sim::serve::{ServeOptions, Server, http_request};
-use duplo_sim::{RunOptions, cache, runner};
+use duplo_sim::{RunOptions, cache};
 
 /// One stable-agnostic scrape of `/v1/metrics?format=json`, returning the
 /// named metric's scalar value (0 when it has not been registered yet).
@@ -75,9 +75,12 @@ fn storm(addr: &str, body: &str) -> (Vec<Vec<u8>>, cache::CacheStats) {
 /// The full soak: cold storm, warm storm, byte-identity vs a direct run,
 /// clean shutdown. `sample` doubles as the cache-key discriminator so the
 /// two thread-count variants cannot warm each other through the
-/// process-global memory tier.
+/// process-global memory tier. The cache and request counters the soak
+/// asserts deltas of are process-wide telemetry, so the two variants take
+/// turns.
 fn soak(threads: usize, sample: usize) {
-    let _guard = runner::override_threads(threads);
+    static COUNTERS: Mutex<()> = Mutex::new(());
+    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let cache_dir = std::env::temp_dir().join(format!(
         "duplo-soak-{}-t{threads}-s{sample}",
         std::process::id()
@@ -85,6 +88,7 @@ fn soak(threads: usize, sample: usize) {
     let _ = std::fs::remove_dir_all(&cache_dir);
 
     let defaults = RunOptions {
+        threads: Some(threads),
         cache_dir: Some(cache_dir.clone()),
         ..RunOptions::default()
     };

@@ -6,8 +6,9 @@
 //! operand address, dependency tag, or descriptor field were lost or
 //! mangled by the codec, the replayed simulation would diverge and the
 //! byte diff would pin the first divergence. `scripts/ci.sh` runs this
-//! suite at `DUPLO_THREADS=1` and `4`, so the guarantee holds under the
-//! parallel runner too.
+//! suite at `DUPLO_THREADS=1` and `4` (the base options come from
+//! `RunOptions::from_env`), so the guarantee holds under the parallel
+//! runner too.
 //!
 //! The replayed kernels carry a content digest that salts their run-cache
 //! key (see `duplo_sim::cache`), so the replay pass genuinely re-simulates
@@ -16,7 +17,7 @@
 
 use duplo_sim::experiments::{ExperimentSpec, RunOptions, registry};
 use duplo_sim::json::parse;
-use duplo_sim::wtrace::{self, TraceKernel};
+use duplo_sim::wtrace::{self, TraceKernel, WtraceSession};
 use duplo_testkit::diff;
 
 /// Runs one spec three ways — generator reference, recording pass, replay
@@ -28,9 +29,12 @@ fn assert_replay_matches(spec: &ExperimentSpec, opts: &RunOptions) {
     let direct = (spec.run)(opts);
 
     // Record pass: capture every kernel the experiment runs.
-    let session = wtrace::record();
-    let _ = (spec.run)(opts);
-    let records = session.finish();
+    let recorder = WtraceSession::record();
+    let _ = (spec.run)(&RunOptions {
+        wtrace: Some(recorder.clone()),
+        ..opts.clone()
+    });
+    let records = recorder.records();
 
     // Round-trip through the codec exactly like the CLI does
     // (`trace record` writes pretty JSON; `--trace-in` parses and
@@ -42,9 +46,12 @@ fn assert_replay_matches(spec: &ExperimentSpec, opts: &RunOptions) {
         .into_iter()
         .map(TraceKernel::new)
         .collect();
-    let session = wtrace::replay(kernels);
-    let replayed = (spec.run)(opts);
-    let substituted = session.finish();
+    let replayer = WtraceSession::replay(kernels);
+    let replayed = (spec.run)(&RunOptions {
+        wtrace: Some(replayer.clone()),
+        ..opts.clone()
+    });
+    let substituted = replayer.substituted();
 
     if records.is_empty() {
         assert_eq!(
@@ -80,12 +87,17 @@ fn assert_replay_matches(spec: &ExperimentSpec, opts: &RunOptions) {
 /// Fast smoke subset for the plain (debug) `cargo test` run: one analytic
 /// experiment, one GEMM sweep, one workspace-carrying sweep, and the two
 /// adversarial workloads. The full-registry sweep below is release-only.
+/// One sampled CTA per share, over the environment's settings.
+fn quick() -> RunOptions {
+    RunOptions {
+        sample_ctas: Some(1),
+        ..RunOptions::from_env().expect("valid DUPLO_* environment")
+    }
+}
+
 #[test]
 fn record_then_replay_reproduces_representative_experiments() {
-    let opts = RunOptions {
-        sample_ctas: Some(1),
-        ..RunOptions::default()
-    };
+    let opts = quick();
     for name in [
         "fig02_speedup",
         "smem_policy",
@@ -109,10 +121,7 @@ fn record_then_replay_reproduces_representative_experiments() {
 #[test]
 #[ignore = "full-registry sweep; run in release via scripts/ci.sh"]
 fn record_then_replay_reproduces_every_registry_experiment() {
-    let opts = RunOptions {
-        sample_ctas: Some(1),
-        ..RunOptions::default()
-    };
+    let opts = quick();
     for spec in registry() {
         assert_replay_matches(spec, &opts);
     }
@@ -123,15 +132,14 @@ fn simulating_experiments_record_at_least_one_kernel() {
     // Guard against the harness silently testing nothing: the flagship
     // simulated experiments must produce records (analytic ones — Fig. 2,
     // Fig. 3, tables — legitimately record zero).
-    let opts = RunOptions {
-        sample_ctas: Some(1),
-        ..RunOptions::default()
-    };
     for name in ["smem_policy", "wl_attention", "wl_membound"] {
         let spec = duplo_sim::experiments::find_experiment(name).unwrap();
-        let session = wtrace::record();
-        let _ = (spec.run)(&opts);
-        let records = session.finish();
+        let recorder = WtraceSession::record();
+        let _ = (spec.run)(&RunOptions {
+            wtrace: Some(recorder.clone()),
+            ..quick()
+        });
+        let records = recorder.records();
         assert!(
             !records.is_empty(),
             "{name}: a simulated experiment must record its kernels"

@@ -31,11 +31,7 @@ pub mod warp;
 
 pub use config::{SchedulerPolicy, SmConfig};
 pub use duplo_mem::SliceStat;
-pub use sm::{
-    LoopProfile, Sm, force_tick_reference, loop_profile, run_kernel, run_kernel_mode,
-    run_kernel_reference, run_kernel_traced, run_kernel_traced_mode, run_kernel_traced_reference,
-    simulated_cycles,
-};
+pub use sm::{LoopProfile, Sm, loop_profile, run_kernel, run_kernel_mode, run_kernel_traced_mode};
 pub use stats::{ServiceCounts, SmStats, StallBreakdown};
 pub use trace::{CtaSpan, SmSample, SmTraceData, TraceSpec};
 

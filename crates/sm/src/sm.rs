@@ -28,8 +28,9 @@
 //!   holds bit-exactly and [`SmStats`] is byte-identical to the reference
 //!   loop — the `event_skip` equivalence suite pins this.
 //!
-//! Set `DUPLO_TICK_REFERENCE=1` (or call [`force_tick_reference`]) to run
-//! the tick-by-tick reference loop instead.
+//! Pass `reference: true` to [`run_kernel_mode`] (or call
+//! [`Sm::set_event_skip`]) to run the tick-by-tick reference loop instead;
+//! the choice is made per run, so runs in both modes can share a process.
 
 use crate::config::{SchedulerPolicy, SmConfig};
 use crate::ldst::{Inflight, LdstUnit, MemKind};
@@ -42,12 +43,10 @@ use duplo_isa::{ArchReg, Kernel, Op, Space};
 use duplo_mem::MemoryHierarchy;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::OnceLock;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Simulated cycles accumulated by every `run_kernel*` call in this
-/// process (all SMs, all runs). The bench trajectory divides deltas of
-/// this counter by wall-clock time to report cycles-simulated/sec.
+/// process (all SMs, all runs), read through [`loop_profile`].
 static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
 
 /// Event-wheel fast-forwards taken across every `run_kernel*` call
@@ -62,15 +61,6 @@ static SIM_SKIPPED_CYCLES: AtomicU64 = AtomicU64::new(0);
 /// `run_kernel*` invocations (== `drive` calls) so far.
 static SIM_RUNS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide override forcing the tick-by-tick reference loop (see
-/// [`force_tick_reference`]).
-static TICK_REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Total simulated SM cycles across every `run_kernel*` call so far.
-pub fn simulated_cycles() -> u64 {
-    SIM_CYCLES.load(Ordering::Relaxed)
-}
-
 /// Process-wide SM-loop profile: how the event-driven loop earned its
 /// keep. Sampled coarsely — the counters are accumulated once per
 /// `run_kernel*` call, never per tick — so reading them costs nothing on
@@ -78,7 +68,7 @@ pub fn simulated_cycles() -> u64 {
 /// over per-SM values in deterministic order).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct LoopProfile {
-    /// Simulated cycles (same counter as [`simulated_cycles`]).
+    /// Simulated cycles.
     pub cycles: u64,
     /// Event-wheel fast-forwards taken.
     pub skips_taken: u64,
@@ -101,22 +91,6 @@ pub fn loop_profile() -> LoopProfile {
         ticks_walked: cycles.saturating_sub(cycles_skipped),
         runs: SIM_RUNS.load(Ordering::Relaxed),
     }
-}
-
-/// Forces (or releases) the tick-by-tick reference loop process-wide.
-/// Results are identical either way — the reference loop exists so the
-/// equivalence gates and the bench trajectory's reference column have
-/// something to diff against. The `DUPLO_TICK_REFERENCE` environment
-/// variable (any value but `0`) has the same effect.
-pub fn force_tick_reference(on: bool) {
-    TICK_REFERENCE.store(on, Ordering::SeqCst);
-}
-
-/// Whether new SMs should use the tick-by-tick reference loop.
-fn reference_mode() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| std::env::var_os("DUPLO_TICK_REFERENCE").is_some_and(|v| v != "0"))
-        || TICK_REFERENCE.load(Ordering::SeqCst)
 }
 
 #[derive(Clone, Debug)]
@@ -261,7 +235,7 @@ impl Sm {
             stats: SmStats::default(),
             tracer: None,
             cycle: 0,
-            event_skip: !reference_mode(),
+            event_skip: true,
             progress: false,
             skips_taken: 0,
             cycles_skipped: 0,
@@ -1260,20 +1234,10 @@ pub fn run_kernel(kernel: &dyn Kernel, cta_ids: &[usize], config: SmConfig) -> S
     run_kernel_mode(kernel, cta_ids, config, false)
 }
 
-/// Like [`run_kernel`], but forces the tick-by-tick reference loop for
-/// this run regardless of process-wide settings. Statistics are
-/// byte-identical to [`run_kernel`]'s — the equivalence suite asserts
-/// exactly that — only wall-clock time differs.
-pub fn run_kernel_reference(kernel: &dyn Kernel, cta_ids: &[usize], config: SmConfig) -> SmStats {
-    run_kernel_mode(kernel, cta_ids, config, true)
-}
-
 /// [`run_kernel`] with the loop mode selected by value: `reference: true`
-/// forces the tick-by-tick reference loop for this run only, without
-/// touching the process-wide [`force_tick_reference`] flag, so concurrent
-/// runs can mix modes. `false` still defers to the process-wide settings
-/// (`DUPLO_TICK_REFERENCE`, the forced flag), preserving the historical
-/// behavior of [`run_kernel`].
+/// runs the tick-by-tick reference loop for this run only, so concurrent
+/// runs can mix modes. Statistics are byte-identical either way — the
+/// equivalence suites assert exactly that — only wall-clock time differs.
 pub fn run_kernel_mode(
     kernel: &dyn Kernel,
     cta_ids: &[usize],
@@ -1288,33 +1252,12 @@ pub fn run_kernel_mode(
     sm.into_stats()
 }
 
-/// Like [`run_kernel`], but records a cycle-resolved trace per `spec`.
+/// [`run_kernel_mode`] that also records a cycle-resolved trace per
+/// `spec`.
 ///
 /// # Panics
 ///
 /// Panics if the simulation exceeds two billion cycles (deadlock guard).
-pub fn run_kernel_traced(
-    kernel: &dyn Kernel,
-    cta_ids: &[usize],
-    config: SmConfig,
-    spec: TraceSpec,
-) -> (SmStats, SmTraceData) {
-    run_kernel_traced_mode(kernel, cta_ids, config, spec, false)
-}
-
-/// Like [`run_kernel_traced`], but on the tick-by-tick reference loop (the
-/// traced counterpart of [`run_kernel_reference`]).
-pub fn run_kernel_traced_reference(
-    kernel: &dyn Kernel,
-    cta_ids: &[usize],
-    config: SmConfig,
-    spec: TraceSpec,
-) -> (SmStats, SmTraceData) {
-    run_kernel_traced_mode(kernel, cta_ids, config, spec, true)
-}
-
-/// [`run_kernel_traced`] with the loop mode selected by value (the traced
-/// counterpart of [`run_kernel_mode`]).
 pub fn run_kernel_traced_mode(
     kernel: &dyn Kernel,
     cta_ids: &[usize],

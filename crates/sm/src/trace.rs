@@ -1,7 +1,7 @@
 //! Cycle-resolved tracing of one SM run.
 //!
 //! When a [`TraceSpec`] is attached to an [`crate::Sm`] (via
-//! [`crate::run_kernel_traced`]), the SM snapshots its counters every
+//! [`crate::run_kernel_traced_mode`]), the SM snapshots its counters every
 //! `interval` cycles into a compact, append-only timeline and records a
 //! begin/end span for every CTA it executes. All buffers are hard-capped:
 //! once full, new entries are *counted as dropped* rather than silently

@@ -2,16 +2,12 @@
 //! fast-forward must produce `SmStats` (and traces) byte-identical to the
 //! tick-by-tick reference loop — it may only be faster.
 //!
-//! Uses the explicit `run_kernel_reference` entry points rather than the
-//! process-global `force_tick_reference` toggle, so these tests are safe
-//! under the parallel test runner.
+//! The loop is chosen per run (the `reference` flag of `run_kernel_mode`),
+//! so these tests are safe under the parallel test runner.
 
 use duplo_core::LhbConfig;
 use duplo_isa::{ArchReg, CtaTrace, Kernel, Op, Space, WarpTrace, WorkspaceDesc};
-use duplo_sm::{
-    SmConfig, TraceSpec, run_kernel, run_kernel_reference, run_kernel_traced,
-    run_kernel_traced_reference,
-};
+use duplo_sm::{SmConfig, TraceSpec, run_kernel, run_kernel_mode, run_kernel_traced_mode};
 use duplo_testkit::prop::check;
 use duplo_testkit::{Rng, require, require_eq};
 
@@ -157,7 +153,7 @@ fn event_skip_matches_reference_on_random_kernels() {
         arb_case,
         |case| {
             let event = run_kernel(&fuzz_kernel(case), &[0, 1], cfg(case.duplo));
-            let reference = run_kernel_reference(&fuzz_kernel(case), &[0, 1], cfg(case.duplo));
+            let reference = run_kernel_mode(&fuzz_kernel(case), &[0, 1], cfg(case.duplo), true);
             require!(
                 event == reference,
                 "event-driven stats diverge from reference:\n{event:#?}\nvs\n{reference:#?}"
@@ -207,8 +203,8 @@ fn event_skip_matches_reference_on_latency_heavy_kernel_with_trace() {
         interval: 64,
         ..TraceSpec::default()
     };
-    let (event_stats, event_trace) = run_kernel_traced(&kernel, &[0], cfg(true), spec);
-    let (ref_stats, ref_trace) = run_kernel_traced_reference(&kernel, &[0], cfg(true), spec);
+    let (event_stats, event_trace) = run_kernel_traced_mode(&kernel, &[0], cfg(true), spec, false);
+    let (ref_stats, ref_trace) = run_kernel_traced_mode(&kernel, &[0], cfg(true), spec, true);
     assert_eq!(event_stats, ref_stats, "traced stats diverge");
     assert_eq!(event_trace.interval, ref_trace.interval);
     assert_eq!(event_trace.samples, ref_trace.samples, "timelines diverge");
@@ -238,7 +234,7 @@ fn tracing_does_not_perturb_event_skip_results() {
         duplo: true,
     };
     let plain = run_kernel(&fuzz_kernel(&case), &[0, 1], cfg(true));
-    let (traced, _) = run_kernel_traced(
+    let (traced, _) = run_kernel_traced_mode(
         &fuzz_kernel(&case),
         &[0, 1],
         cfg(true),
@@ -246,6 +242,7 @@ fn tracing_does_not_perturb_event_skip_results() {
             interval: 32,
             ..TraceSpec::default()
         },
+        false,
     );
     assert_eq!(plain, traced);
 }

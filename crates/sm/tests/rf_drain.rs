@@ -10,7 +10,7 @@
 
 use duplo_core::LhbConfig;
 use duplo_isa::{ArchReg, CtaTrace, Kernel, Op, Space, WarpTrace, WorkspaceDesc};
-use duplo_sm::{SmConfig, run_kernel, run_kernel_reference};
+use duplo_sm::{SmConfig, run_kernel, run_kernel_mode};
 use duplo_testkit::prop::check;
 use duplo_testkit::{Rng, require_eq};
 
@@ -131,7 +131,12 @@ fn global_path_pressure_drains_to_zero() {
 #[test]
 fn pressure_path_identical_under_reference_loop() {
     let event = run_kernel(&pressure_kernel(40, Space::Shared), &[0], tiny_rf(true));
-    let reference = run_kernel_reference(&pressure_kernel(40, Space::Shared), &[0], tiny_rf(true));
+    let reference = run_kernel_mode(
+        &pressure_kernel(40, Space::Shared),
+        &[0],
+        tiny_rf(true),
+        true,
+    );
     assert_eq!(event, reference);
 }
 

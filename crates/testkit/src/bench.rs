@@ -93,133 +93,6 @@ impl Bench {
     }
 }
 
-/// One measured entry of a [`BenchReport`]: a named subject with ordered
-/// `(metric, value)` pairs.
-#[derive(Clone, Debug)]
-pub struct BenchEntry {
-    /// Subject name (e.g. a registry experiment).
-    pub name: String,
-    /// Ordered metric values; emitted in insertion order.
-    pub metrics: Vec<(String, MetricValue)>,
-}
-
-/// A metric value in a bench report.
-#[derive(Copy, Clone, Debug)]
-pub enum MetricValue {
-    /// An exact count (cycles, iterations).
-    U64(u64),
-    /// A measured quantity (seconds, rates); serialized with 6 fixed
-    /// decimals so the file shape is stable across runs.
-    F64(f64),
-}
-
-/// A machine-readable performance report (the committed `BENCH_duplo.json`
-/// trajectory file), serialized with the in-crate zero-dependency JSON
-/// emitter: keys in insertion order, `U64` as plain integers, `F64` with
-/// fixed six-decimal formatting, so two runs differ only where the
-/// measurements differ.
-#[derive(Clone, Debug, Default)]
-pub struct BenchReport {
-    /// Emitted as the top-level `schema_version` (callers pass their
-    /// result-schema version so shared validators accept the file).
-    pub schema: u64,
-    /// Free-form context pairs (mode, sample size) emitted under `"meta"`.
-    pub meta: Vec<(String, String)>,
-    /// Per-subject entries, in run order.
-    pub entries: Vec<BenchEntry>,
-    /// Whole-run summary metrics emitted under `"summary"`.
-    pub summary: Vec<(String, MetricValue)>,
-}
-
-fn push_json_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_metric(out: &mut String, v: MetricValue) {
-    match v {
-        MetricValue::U64(n) => out.push_str(&n.to_string()),
-        MetricValue::F64(x) => out.push_str(&format!("{x:.6}")),
-    }
-}
-
-fn push_metric_obj(out: &mut String, indent: &str, metrics: &[(String, MetricValue)]) {
-    out.push_str("{\n");
-    for (i, (k, v)) in metrics.iter().enumerate() {
-        out.push_str(indent);
-        out.push_str("  ");
-        push_json_escaped(out, k);
-        out.push_str(": ");
-        push_metric(out, *v);
-        out.push_str(if i + 1 < metrics.len() { ",\n" } else { "\n" });
-    }
-    out.push_str(indent);
-    out.push('}');
-}
-
-impl BenchReport {
-    /// Serializes the report as deterministic pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"schema_version\": ");
-        out.push_str(&self.schema.to_string());
-        out.push_str(",\n  \"meta\": {\n");
-        for (i, (k, v)) in self.meta.iter().enumerate() {
-            out.push_str("    ");
-            push_json_escaped(&mut out, k);
-            out.push_str(": ");
-            push_json_escaped(&mut out, v);
-            out.push_str(if i + 1 < self.meta.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  },\n  \"experiments\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str("    {\n      \"name\": ");
-            push_json_escaped(&mut out, &e.name);
-            for (k, v) in &e.metrics {
-                out.push_str(",\n      ");
-                push_json_escaped(&mut out, k);
-                out.push_str(": ");
-                push_metric(&mut out, *v);
-            }
-            out.push_str("\n    }");
-            out.push_str(if i + 1 < self.entries.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"summary\": ");
-        push_metric_obj(&mut out, "  ", &self.summary);
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// Writes the report to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation and file-write failures.
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
-    }
-}
-
 /// Formats a duration with an adaptive unit (`ns`/`µs`/`ms`/`s`).
 pub fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
@@ -250,29 +123,6 @@ mod tests {
         });
         assert_eq!(s.iters, 9);
         assert!(s.min <= s.median && s.median <= s.p95);
-    }
-
-    #[test]
-    fn bench_report_json_is_deterministic_and_shaped() {
-        let report = BenchReport {
-            schema: 1,
-            meta: vec![("mode".into(), "event\"skip".into())],
-            entries: vec![BenchEntry {
-                name: "fig10_speedup".into(),
-                metrics: vec![
-                    ("cycles".into(), MetricValue::U64(123456)),
-                    ("wall_s".into(), MetricValue::F64(0.25)),
-                ],
-            }],
-            summary: vec![("speedup_gmean".into(), MetricValue::F64(2.5))],
-        };
-        let a = report.to_json();
-        let b = report.to_json();
-        assert_eq!(a, b, "serialization must be deterministic");
-        assert!(a.contains("\"cycles\": 123456"), "{a}");
-        assert!(a.contains("\"wall_s\": 0.250000"), "{a}");
-        assert!(a.contains("\\\"skip"), "quotes must be escaped: {a}");
-        assert!(a.ends_with("}\n"), "{a}");
     }
 
     #[test]

@@ -5,7 +5,10 @@
 #
 # Usage: scripts/ci.sh
 #
-# Env knobs honored by the test suite (see README "Building & testing"):
+# Env knobs (see README "Building & testing"). The DUPLO_THREADS,
+# DUPLO_CACHE_DIR, DUPLO_TICK_REFERENCE and DUPLO_L2_* knobs are read by
+# the CLI and the test binaries only (RunOptions::from_env), never inside
+# the simulator:
 #   DUPLO_TEST_SEED=<u64>   master seed for the property-test runner
 #   DUPLO_TEST_CASES=<u32>  override per-property case counts
 #   DUPLO_BENCH_ITERS=<u32> timed iterations in `cargo bench`
@@ -47,11 +50,11 @@ echo "== json: emit + validate + thread-count diff ==" >&2
 JSON_DIR=$(mktemp -d)
 trap 'rm -rf "$JSON_DIR"' EXIT
 DUPLO_JSON_STABLE=1 DUPLO_THREADS=1 \
-    cargo run -q --release --offline -p duplo-bench --bin smem_policy -- \
-    --sample 2 --json "$JSON_DIR/smem_t1.json" > "$JSON_DIR/stdout_flat.txt"
+    cargo run -q --release --offline -p duplo-bench --bin duplo -- \
+    run smem_policy --sample 2 --json "$JSON_DIR/smem_t1.json" > "$JSON_DIR/stdout_flat.txt"
 DUPLO_JSON_STABLE=1 DUPLO_THREADS=4 \
-    cargo run -q --release --offline -p duplo-bench --bin smem_policy -- \
-    --sample 2 --json "$JSON_DIR/smem_t4.json" > /dev/null
+    cargo run -q --release --offline -p duplo-bench --bin duplo -- \
+    run smem_policy --sample 2 --json "$JSON_DIR/smem_t4.json" > /dev/null
 cargo run -q --release --offline -p duplo-bench --bin json_check -- \
     "$JSON_DIR/smem_t1.json" "$JSON_DIR/smem_t4.json"
 cmp "$JSON_DIR/smem_t1.json" "$JSON_DIR/smem_t4.json" || {
@@ -190,15 +193,19 @@ cmp "$JSON_DIR/smem_direct.json" "$JSON_DIR/smem_replay.json" || {
     exit 1
 }
 
-# Event-loop gate (1/3): every registry experiment must render the same
+# Event-loop gate (1/2): every registry experiment must render the same
 # table and structured result from the event-driven wakeup-wheel loop and
-# the tick-by-tick reference loop. #[ignore]d in debug (the reference loop
-# is too slow unoptimized), so run it here in release.
-echo "== event loop: full-registry reference equivalence ==" >&2
-cargo test -q --release --offline -p duplo-sim \
-    --test event_skip_registry -- --ignored
+# the tick-by-tick reference loop, flat and with a 4-slice L2 (the wakeup
+# wheel must stay exact with per-slice MSHR fill horizons in play). The
+# suites are #[ignore]d in debug (the reference loop is too slow
+# unoptimized), so run them here in release.
+echo "== event loop: reference equivalence, flat and DUPLO_L2_SLICES=4 ==" >&2
+for slices in "" 4; do
+    DUPLO_L2_SLICES=$slices cargo test -q --release --offline -p duplo-sim \
+        --test event_skip_quick --test event_skip_registry -- --ignored
+done
 
-# Event-loop gate (2/3): DUPLO_TICK_REFERENCE=1 pins the reference loop
+# Event-loop gate (2/2): DUPLO_TICK_REFERENCE=1 pins the reference loop
 # itself — the determinism suite must pass under it, and a reference-mode
 # run must produce stable JSON byte-identical to the event-mode runs above.
 echo "== event loop: reference-mode determinism + JSON equivalence ==" >&2
@@ -207,22 +214,22 @@ DUPLO_TICK_REFERENCE=1 DUPLO_THREADS=1 \
 DUPLO_TICK_REFERENCE=1 DUPLO_THREADS=4 \
     cargo test -q --release --offline -p duplo-sim --test determinism
 DUPLO_JSON_STABLE=1 DUPLO_TICK_REFERENCE=1 DUPLO_THREADS=4 \
-    cargo run -q --release --offline -p duplo-bench --bin smem_policy -- \
-    --sample 2 --json "$JSON_DIR/smem_ref.json" > /dev/null
+    cargo run -q --release --offline -p duplo-bench --bin duplo -- \
+    run smem_policy --sample 2 --json "$JSON_DIR/smem_ref.json" > /dev/null
 cmp "$JSON_DIR/smem_t1.json" "$JSON_DIR/smem_ref.json" || {
     echo "stable JSON differs between event-driven and reference loops" >&2
     exit 1
 }
 
-# Sliced-L2 gate (1/4): one slice must BE the flat model. With
+# Sliced-L2 gate (1/2): one slice must BE the flat model. With
 # DUPLO_L2_SLICES=1 the sliced backend (slice tag array, bookkeeping MSHR,
 # passthrough crossbar) must produce stdout and stable JSON byte-identical
 # to the default flat hierarchy, under either partition hash.
 echo "== sliced L2: slices=1 reproduces the flat model byte-for-byte ==" >&2
 for hash in mod xor; do
     DUPLO_JSON_STABLE=1 DUPLO_THREADS=1 DUPLO_L2_SLICES=1 DUPLO_L2_HASH=$hash \
-        cargo run -q --release --offline -p duplo-bench --bin smem_policy -- \
-        --sample 2 --json "$JSON_DIR/smem_s1_$hash.json" \
+        cargo run -q --release --offline -p duplo-bench --bin duplo -- \
+        run smem_policy --sample 2 --json "$JSON_DIR/smem_s1_$hash.json" \
         > "$JSON_DIR/stdout_s1_$hash.txt"
     cmp "$JSON_DIR/smem_t1.json" "$JSON_DIR/smem_s1_$hash.json" || {
         echo "slices=1 ($hash hash) stable JSON differs from the flat model" >&2
@@ -234,7 +241,7 @@ for hash in mod xor; do
     }
 done
 
-# Sliced-L2 gate (2/4): the deterministic cross-SM contention model. The
+# Sliced-L2 gate (2/2): the deterministic cross-SM contention model. The
 # determinism suite must pass with a 4-slice L2 at both pinned thread
 # counts, and a sliced run's stable JSON must be thread-count invariant.
 echo "== sliced L2: determinism at DUPLO_L2_SLICES=4 ==" >&2
@@ -256,45 +263,6 @@ cmp "$JSON_DIR/camp_t1.json" "$JSON_DIR/camp_t4.json" || {
     echo "wl_slice_camp JSON differs between DUPLO_THREADS=1 and 4" >&2
     exit 1
 }
-
-# Sliced-L2 gate (3/4): the wakeup wheel must stay equivalent to the
-# tick-by-tick reference with per-slice MSHR fill horizons in play.
-echo "== sliced L2: event-skip equivalence at DUPLO_L2_SLICES=4 ==" >&2
-DUPLO_L2_SLICES=4 \
-    cargo test -q --release --offline -p duplo-sim --test event_skip_quick
-
-# Event-loop gate (3/3): the committed perf trajectory. `duplo bench` runs
-# the registry in both modes (asserting per-experiment output and cycle
-# equality — the stall-attribution identity is enforced inside the SM), and
-# the written report must pass the shared JSON validator. The fresh gmean
-# must also stay within ±3% of the committed trajectory's — the proof that
-# the SM-loop telemetry hooks cost nothing measurable.
-echo "== event loop: bench trajectory regeneration ==" >&2
-cargo run -q --release --offline -p duplo-bench --bin duplo -- \
-    bench --out "$JSON_DIR/BENCH_fresh.json"
-cargo run -q --release --offline -p duplo-bench --bin json_check -- \
-    "$JSON_DIR/BENCH_fresh.json"
-extract_gmean() {
-    grep -o '"speedup_gmean": *[0-9.]*' "$1" | grep -o '[0-9.]*$'
-}
-FRESH_GMEAN=$(extract_gmean "$JSON_DIR/BENCH_fresh.json")
-BASE_GMEAN=$(extract_gmean "BENCH_duplo.json")
-awk -v fresh="$FRESH_GMEAN" -v base="$BASE_GMEAN" 'BEGIN {
-    d = (fresh - base) / base; if (d < 0) d = -d; exit !(d <= 0.03)
-}' || {
-    echo "bench gmean drifted: fresh=$FRESH_GMEAN committed=$BASE_GMEAN (>3%)" >&2
-    exit 1
-}
-
-# Sliced-L2 gate (4/4): the bench trajectory (registry in both loop modes,
-# asserting per-experiment equality) must also hold with the sliced memory
-# side enabled, and its report must pass the shared JSON validator.
-echo "== sliced L2: bench trajectory at DUPLO_L2_SLICES=4 ==" >&2
-DUPLO_L2_SLICES=4 DUPLO_L2_HASH=xor \
-    cargo run -q --release --offline -p duplo-bench --bin duplo -- \
-    bench --out "$JSON_DIR/BENCH_sliced.json"
-cargo run -q --release --offline -p duplo-bench --bin json_check -- \
-    "$JSON_DIR/BENCH_sliced.json"
 
 # Telemetry gate (1/2): instrumentation must never perturb results. Run
 # the full registry with the metrics registry hot and again with
