@@ -24,12 +24,11 @@
 //!   daemon's `/v1/metrics` registry (Prometheus text, or the JSON
 //!   snapshot with `--json`).
 use duplo_bench::{
-    USAGE, exit_unknown_experiment, parse_cli, record_to_file, run_all, run_named, with_replay,
-    with_trace,
+    USAGE, exit_unknown_experiment, record_to_file, run_all, run_named, with_replay, with_trace,
 };
 use duplo_sim::experiments::{find_experiment, registry};
 use duplo_sim::json::Json;
-use duplo_sim::serve;
+use duplo_sim::{RunOptions, serve};
 
 const COMMANDS: &str = "usage: duplo <command> [args]\n\ncommands:\n  list                       list registered experiments\n  describe <name>            show one experiment's metadata\n  run <name|all> [options]   run an experiment (or every registered one)\n  trace summarize <path>     print a phase table of a --trace file\n  trace record <name> <out> [options]  run an experiment, dumping its\n                             kernels to a wtrace file for --trace-in\n  serve [--addr <host:port>] [--workers N] [--port-file <path>] [options]\n                             start the HTTP simulation service; shared\n                             options become per-submission defaults\n  submit --addr <host:port> <name> [--sample N|--full] [--no-cache]\n         [--tick-reference] [--l2-slices N] [--l2-hash mod|xor] [--trace]\n                             run an experiment on a daemon and print the\n                             response body (--shutdown stops the daemon)\n  metrics --addr <host:port> [--json]\n                             scrape a running daemon's /v1/metrics and\n                             print it (Prometheus text, or the JSON\n                             snapshot with --json)";
 
@@ -84,7 +83,7 @@ fn cmd_serve(args: &[String]) {
         }
     }
     let explicit_sample = rest.iter().any(|a| a == "--sample" || a == "--full");
-    let defaults = match parse_cli(&rest, None) {
+    let defaults = match RunOptions::from_cli(&rest, None) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -355,7 +354,7 @@ fn main() {
             };
             let rest = &args[2..];
             if target == "all" {
-                match parse_cli(rest, Some(8)) {
+                match RunOptions::from_cli(rest, Some(8)) {
                     Ok(cli) => {
                         with_trace(&cli, |o| with_replay(o, |o| run_all(o, true)));
                     }
@@ -368,7 +367,7 @@ fn main() {
                 let Some(spec) = find_experiment(target) else {
                     exit_unknown_experiment(target);
                 };
-                match parse_cli(rest, spec.default_sample) {
+                match RunOptions::from_cli(rest, spec.default_sample) {
                     Ok(cli) => {
                         with_trace(&cli, |o| with_replay(o, |o| run_named(target, o)));
                     }
@@ -409,7 +408,7 @@ fn main() {
                 let Some(spec) = find_experiment(name) else {
                     exit_unknown_experiment(name);
                 };
-                match parse_cli(&args[4..], spec.default_sample) {
+                match RunOptions::from_cli(&args[4..], spec.default_sample) {
                     Ok(cli) => {
                         if cli.trace_in.is_some() {
                             eprintln!("error: --trace-in cannot be combined with trace record");

@@ -1,4 +1,4 @@
-//! Support library for the `duplo` CLI, `all_experiments`, and the benches.
+//! Support library for the `duplo` CLI and `all_experiments`.
 //!
 //! Every experiment command accepts:
 //!
@@ -39,39 +39,25 @@
 //! table on stdout.
 //!
 //! JSON files normally carry a `host` block (wall-clock seconds, worker
-//! threads, run-cache hit/miss/byte deltas). Setting `DUPLO_JSON_STABLE`
+//! threads, and the experiment's own run-cache hits/misses/bytes, read
+//! from the `ProgressHandle` its runs carry). Setting `DUPLO_JSON_STABLE`
 //! omits it, making the files byte-identical across machines, thread
 //! counts, and cache states — the CI determinism and cache gates diff two
 //! such runs.
 
-use duplo_sim::RunOptions;
-use duplo_sim::cache;
+use duplo_sim::cache::CacheStats;
 use duplo_sim::experiments::{
     ExperimentOutput, ExperimentSpec, find_experiment, registry, suggest_experiment,
 };
 use duplo_sim::json::Json;
-use duplo_sim::log;
+use duplo_sim::metrics::json_stable;
+use duplo_sim::progress::ProgressHandle;
 use duplo_sim::results::{ExperimentResult, rollup};
 use duplo_sim::runner::resolve_threads;
-use duplo_sim::trace;
-use duplo_sim::wtrace;
+use duplo_sim::{RunOptions, log, trace, wtrace};
 
 /// Usage summary printed (with a nonzero exit) on bad arguments.
 pub const USAGE: &str = "options:\n  --sample <N>      simulate at most N CTAs per representative SM (N >= 1)\n  --full            simulate every CTA of each SM's share\n  --json <path>     write the structured result to <path>\n  --json-dir <dir>  write per-experiment JSON files under <dir>\n  --cache-dir <dir> persist the run cache under <dir> (overrides DUPLO_CACHE_DIR)\n  --no-cache        disable the run cache\n  --trace <path>    write a Chrome trace-event timeline to <path> (DUPLO_TRACE)\n  --trace-interval <N>  cycles between trace samples (default 1024; DUPLO_TRACE_INTERVAL)\n  --trace-in <file> replay a recorded wtrace file instead of the generators\n                    (record one with `duplo trace record`)\n\nenvironment:\n  DUPLO_LOG=off|info|debug|trace   stderr verbosity (default info)";
-
-/// Parses the shared experiment command line. Pure — no process exit, no
-/// global state — so argument handling is unit-testable; `default_sample`
-/// is used when neither `--sample` nor `--full` is given.
-///
-/// `args` excludes the binary name (`std::env::args().skip(1)`).
-///
-/// This is [`RunOptions::from_cli`]: the historical `CliArgs`/`ExpOpts`
-/// pair merged into the one typed options struct every run entry point
-/// takes. Environment knobs (`DUPLO_JSON_DIR`, `DUPLO_TRACE*`, ...) are
-/// snapshotted first, then flags override them.
-pub fn parse_cli(args: &[String], default_sample: Option<usize>) -> Result<RunOptions, String> {
-    RunOptions::from_cli(args, default_sample)
-}
 
 /// Runs `f` with a trace sink added to `cli` when it asks for one
 /// (`--trace`/`DUPLO_TRACE`), writing the Chrome trace-event document
@@ -172,13 +158,13 @@ pub fn record_to_file<T>(
 }
 
 /// Parses the full shared command line (sampling + JSON + cache + trace
-/// flags). On a bad argument it prints the error and usage to stderr and
-/// exits with code 2 — no panic, no backtrace. Cache flags are **not**
-/// applied globally: they ride in the returned options and take effect per
-/// run.
+/// flags) with [`RunOptions::from_cli`]. On a bad argument it prints the
+/// error and usage to stderr and exits with code 2 — no panic, no
+/// backtrace. Cache flags are **not** applied globally: they ride in the
+/// returned options and take effect per run.
 pub fn cli_from_args(default_sample: Option<usize>) -> RunOptions {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_cli(&args, default_sample) {
+    match RunOptions::from_cli(&args, default_sample) {
         Ok(cli) => cli,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -224,13 +210,6 @@ pub fn timed_secs<T>(name: &str, f: impl FnOnce() -> T) -> (T, f64) {
     (out, secs)
 }
 
-/// Whether volatile host metadata must be left out of JSON files
-/// (`DUPLO_JSON_STABLE` set): byte-identical output across thread counts
-/// and cache states.
-pub fn json_stable() -> bool {
-    std::env::var_os("DUPLO_JSON_STABLE").is_some()
-}
-
 /// Stamps host metadata (unless `DUPLO_JSON_STABLE` is set; `workers` is
 /// the thread cap `opts` resolves to) and writes the result to `path`,
 /// noting the write on stderr.
@@ -250,30 +229,35 @@ pub fn write_result(
     log::info(&result.name, format_args!("wrote {}", path.display()));
 }
 
-/// Executes one registered experiment: timed run (when `spec.timed`), the
-/// run-cache counter delta reported on stderr and stamped into the result
-/// (unless `DUPLO_JSON_STABLE`). Returns the output and elapsed seconds.
-fn execute(spec: &ExperimentSpec, opts: &RunOptions) -> (ExperimentOutput, f64) {
-    let before = cache::stats();
-    let (mut out, secs) = if spec.timed {
-        timed_secs(spec.tag, || (spec.run)(opts))
-    } else {
-        ((spec.run)(opts), 0.0)
+/// Executes one registered experiment: timed run (when `spec.timed`) under
+/// a fresh progress handle, whose cache lookups — the experiment's own —
+/// are reported on stderr and stamped into the result (unless
+/// `DUPLO_JSON_STABLE`). Returns the output, elapsed seconds and lookups.
+fn execute(spec: &ExperimentSpec, opts: &RunOptions) -> (ExperimentOutput, f64, CacheStats) {
+    let progress = ProgressHandle::new();
+    let opts = RunOptions {
+        progress: Some(progress.clone()),
+        ..opts.clone()
     };
-    let delta = cache::stats().since(&before);
+    let (mut out, secs) = if spec.timed {
+        timed_secs(spec.tag, || (spec.run)(&opts))
+    } else {
+        ((spec.run)(&opts), 0.0)
+    };
+    let cache = progress.snapshot().cache;
     log::info(
         spec.tag,
         format_args!(
             "cache: hits={} misses={} bytes={}",
-            delta.hits, delta.misses, delta.bytes
+            cache.hits, cache.misses, cache.bytes
         ),
     );
     if !json_stable() {
-        out.result.cache_hits = Some(delta.hits);
-        out.result.cache_misses = Some(delta.misses);
-        out.result.cache_bytes = Some(delta.bytes);
+        out.result.cache_hits = Some(cache.hits);
+        out.result.cache_misses = Some(cache.misses);
+        out.result.cache_bytes = Some(cache.bytes);
     }
-    (out, secs)
+    (out, secs, cache)
 }
 
 /// Runs one registered experiment under the `duplo run` protocol:
@@ -284,7 +268,7 @@ pub fn run_spec(spec: &ExperimentSpec, cli: &RunOptions) -> ExperimentResult {
     if spec.banner {
         banner(spec.tag, cli);
     }
-    let (out, secs) = execute(spec, cli);
+    let (out, secs, _) = execute(spec, cli);
     print!("{}", out.rendered);
     if let Some(path) = &cli.json {
         write_result(path, out.result.clone(), secs, cli);
@@ -325,7 +309,7 @@ pub fn exit_unknown_experiment(name: &str) -> ! {
 pub fn run_all(cli: &RunOptions, full_registry: bool) {
     banner("all", cli);
     let total = std::time::Instant::now();
-    let run_start = cache::stats();
+    let mut cache = CacheStats::default();
     let specs: Vec<&ExperimentSpec> = registry()
         .iter()
         .filter(|s| full_registry || s.in_all)
@@ -338,32 +322,31 @@ pub fn run_all(cli: &RunOptions, full_registry: bool) {
     // (structured result, wall-clock seconds) per experiment, in run order.
     let mut results: Vec<(ExperimentResult, f64)> = Vec::new();
     for spec in specs {
-        let (out, secs) = execute(spec, cli);
+        let (out, secs, lookups) = execute(spec, cli);
         print!("{}", out.rendered);
         results.push((out.result, secs));
+        cache += lookups;
         let done = results.len();
         if last_beat.elapsed().as_secs_f64() >= 1.0 || done == n_specs {
             last_beat = std::time::Instant::now();
-            let so_far = cache::stats().since(&run_start);
             log::info(
                 "all",
                 format_args!(
                     "{done}/{n_specs} experiments, {:.1}s elapsed, cache hits={} misses={}",
                     total.elapsed().as_secs_f64(),
-                    so_far.hits,
-                    so_far.misses
+                    cache.hits,
+                    cache.misses
                 ),
             );
         }
     }
     let wall = total.elapsed().as_secs_f64();
-    let cache_delta = cache::stats().since(&run_start);
     log::info("all", format_args!("wall-clock: {wall:.3}s"));
     log::info(
         "all",
         format_args!(
             "cache: hits={} misses={} bytes={}",
-            cache_delta.hits, cache_delta.misses, cache_delta.bytes
+            cache.hits, cache.misses, cache.bytes
         ),
     );
 
@@ -379,9 +362,9 @@ pub fn run_all(cli: &RunOptions, full_registry: bool) {
                     Json::obj()
                         .field("wall_clock_s", wall)
                         .field("workers", resolve_threads(cli.threads))
-                        .field("cache_hits", cache_delta.hits)
-                        .field("cache_misses", cache_delta.misses)
-                        .field("cache_bytes", cache_delta.bytes)
+                        .field("cache_hits", cache.hits)
+                        .field("cache_misses", cache.misses)
+                        .field("cache_bytes", cache.bytes)
                         .build(),
                 ));
             }
@@ -400,88 +383,20 @@ pub fn run_all(cli: &RunOptions, full_registry: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
-    fn argv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn default_sample_passes_through() {
-        let cli = parse_cli(&[], Some(4)).unwrap();
-        assert_eq!(cli.sample_ctas, Some(4));
-        let quick = RunOptions::quick();
-        assert_eq!(quick.sample_ctas, Some(2));
-    }
-
-    #[test]
-    fn sample_and_full_override_the_default() {
-        let cli = parse_cli(&argv(&["--sample", "16"]), Some(4)).unwrap();
-        assert_eq!(cli.sample_ctas, Some(16));
-        let cli = parse_cli(&argv(&["--full"]), Some(4)).unwrap();
-        assert_eq!(cli.sample_ctas, None);
-    }
-
-    #[test]
-    fn sample_zero_is_rejected_with_a_clear_message() {
-        let err = parse_cli(&argv(&["--sample", "0"]), None).unwrap_err();
-        assert!(err.contains("positive integer"), "{err}");
-        assert!(err.contains("--full"), "should point at --full: {err}");
-        let err = parse_cli(&argv(&["--sample", "two"]), None).unwrap_err();
-        assert!(err.contains("positive integer"), "{err}");
-        let err = parse_cli(&argv(&["--sample"]), None).unwrap_err();
-        assert!(err.contains("requires a value"), "{err}");
-    }
-
-    #[test]
-    fn unknown_arguments_error_instead_of_panicking() {
-        let err = parse_cli(&argv(&["--bogus"]), None).unwrap_err();
-        assert!(err.contains("unknown argument"), "{err}");
-        assert!(err.contains("--bogus"), "{err}");
-    }
-
-    #[test]
-    fn cache_flags_parse() {
-        let cli = parse_cli(&argv(&["--cache-dir", "/tmp/c", "--no-cache"]), None).unwrap();
-        assert_eq!(cli.cache_dir, Some(PathBuf::from("/tmp/c")));
-        assert!(cli.no_cache);
-        let cli = parse_cli(&[], None).unwrap();
-        assert_eq!(cli.cache_dir, None);
-        assert!(!cli.no_cache);
-        let err = parse_cli(&argv(&["--cache-dir"]), None).unwrap_err();
-        assert!(err.contains("requires a value"), "{err}");
-    }
-
-    #[test]
-    fn trace_flags_parse() {
-        let cli = parse_cli(
-            &argv(&["--trace", "/tmp/t.json", "--trace-interval", "256"]),
-            None,
-        )
-        .unwrap();
-        assert_eq!(cli.trace, Some(PathBuf::from("/tmp/t.json")));
-        assert_eq!(cli.trace_interval, Some(256));
-        let err = parse_cli(&argv(&["--trace-interval", "0"]), None).unwrap_err();
-        assert!(err.contains("positive"), "{err}");
-        let err = parse_cli(&argv(&["--trace"]), None).unwrap_err();
-        assert!(err.contains("requires a value"), "{err}");
-    }
-
-    /// The env path must reject what the flag rejects, with the same
-    /// message shape (it used to silently fall back to the default).
-    /// Tested through the pure helper: setting the real variable would
-    /// race the other tests, which call `parse_cli` concurrently.
     #[test]
     fn trace_interval_env_values_fail_like_the_flag() {
         use duplo_sim::options::parse_trace_interval;
-        assert_eq!(parse_trace_interval("DUPLO_TRACE_INTERVAL", "256"), Ok(256));
+        let argv = |v: &str| vec!["--trace-interval".to_string(), v.to_string()];
+        let cli = RunOptions::from_cli(&argv("256"), None).unwrap();
+        assert_eq!(cli.trace_interval, Some(256));
         for bad in ["0", "abc", "-1", ""] {
-            let err = parse_trace_interval("DUPLO_TRACE_INTERVAL", bad).unwrap_err();
-            assert!(err.contains("DUPLO_TRACE_INTERVAL"), "{err}");
-            assert!(err.contains("positive cycle count"), "{err}");
-            let flag_err = parse_trace_interval("--trace-interval", bad).unwrap_err();
+            let env_err = parse_trace_interval("DUPLO_TRACE_INTERVAL", bad).unwrap_err();
+            assert!(env_err.contains("positive cycle count"), "{env_err}");
+            // The flag as the `duplo` binary parses it, not the bare helper.
+            let flag_err = RunOptions::from_cli(&argv(bad), None).unwrap_err();
             assert_eq!(
-                err.replace("DUPLO_TRACE_INTERVAL", "--trace-interval"),
+                env_err.replace("DUPLO_TRACE_INTERVAL", "--trace-interval"),
                 flag_err,
                 "env and flag must share one message shape"
             );

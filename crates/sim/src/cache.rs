@@ -30,14 +30,17 @@
 //! floats in shortest round-trip form), so cached and fresh results are
 //! byte-identical through the serializer and render identical tables.
 //!
-//! Hit/miss/byte counters live in the [`crate::metrics`] registry, one
-//! counter per tier (`duplo_cache_hits_total{tier="memory"|"disk"|
+//! Every lookup reports its own outcome: [`run_cached_ctl`] returns the
+//! [`CacheStats`] of that one lookup (a hit or a miss, plus the disk bytes
+//! it moved) beside the result, and [`crate::GpuSim::run`] adds it to the
+//! run's [`crate::progress::ProgressHandle`]. Per-run reports (the CLI's
+//! `cache:` lines and JSON host block, `duplo serve`'s cache headers) read
+//! that handle, so they count exactly their own lookups under any
+//! concurrency. The lookups also feed process-wide [`crate::metrics`]
+//! counters, one per tier (`duplo_cache_hits_total{tier="memory"|"disk"|
 //! "flight"}`, `duplo_cache_misses_total`, `duplo_cache_disk_bytes_total
-//! {dir="read"|"write"}`); [`stats`] sums them back into the historical
-//! [`CacheStats`] shape. The experiment harness surfaces per-run deltas
-//! in the `ExperimentResult` host block (and therefore outside the
-//! `DUPLO_JSON_STABLE` byte-stable payload). The counters are exempt from
-//! the `DUPLO_METRICS=off` kill switch — they feed non-telemetry APIs.
+//! {dir="read"|"write"}`), which [`stats`] sums into the process total.
+//! Like every metric, they freeze under `DUPLO_METRICS=off`.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -49,7 +52,7 @@ use duplo_sm::{SchedulerPolicy, SmStats};
 use crate::digest;
 use crate::gpu::{GpuConfig, GpuRunResult};
 use crate::json::{Json, parse};
-use crate::metrics;
+use crate::{metrics, wtrace};
 
 /// Version of the on-disk entry layout; bump when the codec changes shape.
 /// v2: `mem` gained `mshr_peak_occupancy`, `l2_peak_queue_delay`, and
@@ -68,11 +71,7 @@ pub const CACHE_MODEL_SALT: u64 = 2;
 // ---------------------------------------------------------------------------
 
 /// The cache's registry metrics, one counter per tier so an operator can
-/// tell memory hits from disk hits from single-flight rides. Registered
-/// *exempt* from the `DUPLO_METRICS=off` kill switch: these counters
-/// feed [`stats`] (and through it the `cache:` stderr lines and the
-/// daemon's `X-Duplo-Cache-*` headers), so disabling telemetry must not
-/// change what they report.
+/// tell memory hits from disk hits from single-flight rides.
 struct CacheMetrics {
     mem_hits: metrics::Counter,
     disk_hits: metrics::Counter,
@@ -84,35 +83,36 @@ struct CacheMetrics {
 
 fn cm() -> &'static CacheMetrics {
     static CM: OnceLock<CacheMetrics> = OnceLock::new();
-    CM.get_or_init(|| CacheMetrics {
-        mem_hits: metrics::exempt_counter(
-            &metrics::labeled("duplo_cache_hits_total", &[("tier", "memory")]),
-            "Run-cache lookups served without simulating, by tier",
-        ),
-        disk_hits: metrics::exempt_counter(
-            &metrics::labeled("duplo_cache_hits_total", &[("tier", "disk")]),
-            "Run-cache lookups served without simulating, by tier",
-        ),
-        flight_hits: metrics::exempt_counter(
-            &metrics::labeled("duplo_cache_hits_total", &[("tier", "flight")]),
-            "Run-cache lookups served without simulating, by tier",
-        ),
-        misses: metrics::exempt_counter(
-            "duplo_cache_misses_total",
-            "Run-cache lookups that ran the simulation",
-        ),
-        disk_read_bytes: metrics::exempt_counter(
-            &metrics::labeled("duplo_cache_disk_bytes_total", &[("dir", "read")]),
-            "Bytes moved through the disk tier, by direction",
-        ),
-        disk_write_bytes: metrics::exempt_counter(
-            &metrics::labeled("duplo_cache_disk_bytes_total", &[("dir", "write")]),
-            "Bytes moved through the disk tier, by direction",
-        ),
+    CM.get_or_init(|| {
+        let hits = |tier| {
+            metrics::counter(
+                &metrics::labeled("duplo_cache_hits_total", &[("tier", tier)]),
+                "Run-cache lookups served without simulating, by tier",
+            )
+        };
+        let bytes = |dir| {
+            metrics::counter(
+                &metrics::labeled("duplo_cache_disk_bytes_total", &[("dir", dir)]),
+                "Bytes moved through the disk tier, by direction",
+            )
+        };
+        CacheMetrics {
+            mem_hits: hits("memory"),
+            disk_hits: hits("disk"),
+            flight_hits: hits("flight"),
+            misses: metrics::counter(
+                "duplo_cache_misses_total",
+                "Run-cache lookups that ran the simulation",
+            ),
+            disk_read_bytes: bytes("read"),
+            disk_write_bytes: bytes("write"),
+        }
     })
 }
 
-/// Snapshot of the process-global cache counters.
+/// Cache lookup counts: one lookup's outcome, a run's sum of them
+/// ([`crate::progress::ProgressSnapshot::cache`]), or the process total
+/// ([`stats`]).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served without simulating (memory, disk, or single-flight
@@ -125,18 +125,34 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Counter increments since `earlier` (an earlier [`stats`] snapshot).
-    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
+    fn hit(bytes: u64) -> CacheStats {
         CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            bytes: self.bytes.saturating_sub(earlier.bytes),
+            hits: 1,
+            misses: 0,
+            bytes,
+        }
+    }
+
+    fn miss(bytes: u64) -> CacheStats {
+        CacheStats {
+            hits: 0,
+            misses: 1,
+            bytes,
         }
     }
 }
 
-/// Current process-global cache counters (sums of the per-tier registry
-/// metrics, so [`CacheStats`] keeps its historical shape).
+impl std::ops::AddAssign for CacheStats {
+    fn add_assign(&mut self, other: CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.bytes += other.bytes;
+    }
+}
+
+/// Process-wide lookup totals (sums of the per-tier registry metrics).
+/// Per-run counts come from the run's progress handle, not from diffs of
+/// this.
 pub fn stats() -> CacheStats {
     let m = cm();
     CacheStats {
@@ -268,20 +284,21 @@ impl Drop for AbandonOnPanic {
 // ---------------------------------------------------------------------------
 
 /// Serves a simulation run from the cache, computing it via `compute` on a
-/// miss. This is the sole entry point [`crate::GpuSim::run`] goes through,
-/// so every experiment driver and sweep inherits memoization. `ctl`
-/// carries the per-run controls ([`crate::RunOptions`]); the memory tier
-/// and its single-flight protocol are process-wide regardless, so
-/// concurrent runs with different disk settings still collapse identical
-/// keys to one simulation.
+/// miss, and returns the result with the [`CacheStats`] of this one lookup
+/// (all zero when `ctl` disables the cache). This is the sole entry point
+/// [`crate::GpuSim::run`] goes through, so every experiment driver and
+/// sweep inherits memoization. `ctl` carries the per-run controls
+/// ([`crate::RunOptions`]); the memory tier and its single-flight protocol
+/// are process-wide regardless, so concurrent runs with different disk
+/// settings still collapse identical keys to one simulation.
 pub fn run_cached_ctl(
     ctl: &CacheCtl,
     cfg: &GpuConfig,
     kernel: &dyn Kernel,
     compute: impl FnOnce() -> GpuRunResult,
-) -> GpuRunResult {
+) -> (GpuRunResult, CacheStats) {
     if ctl.disabled {
-        return compute();
+        return (compute(), CacheStats::default());
     }
     let key = run_key(cfg, kernel);
     // `compute` is consumed only on the leader path, which always returns;
@@ -314,7 +331,7 @@ pub fn run_cached_ctl(
                             } else {
                                 cm().mem_hits.inc();
                             }
-                            return r.clone();
+                            return (r.clone(), CacheStats::hit(0));
                         }
                         SlotState::Abandoned => break,
                         SlotState::InFlight => {
@@ -331,16 +348,16 @@ pub fn run_cached_ctl(
                     key,
                     slot: Arc::clone(&slot),
                 };
-                let result = match disk_load(ctl, key) {
-                    Some(r) => {
+                let (result, lookup) = match disk_load(ctl, key) {
+                    Some((r, bytes)) => {
                         cm().disk_hits.inc();
-                        r
+                        (r, CacheStats::hit(bytes))
                     }
                     None => {
                         let r = (compute.take().expect("leader computes once"))();
                         cm().misses.inc();
-                        disk_store(ctl, key, &r);
-                        r
+                        let bytes = disk_store(ctl, key, &r);
+                        (r, CacheStats::miss(bytes))
                     }
                 };
                 {
@@ -349,7 +366,7 @@ pub fn run_cached_ctl(
                 }
                 slot.cv.notify_all();
                 drop(guard); // published: the guard sees Ready and does nothing
-                return result;
+                return (result, lookup);
             }
         }
     }
@@ -476,29 +493,15 @@ fn config_json(cfg: &GpuConfig) -> Json {
 /// plus workspace descriptor pin everything the name alone leaves
 /// ambiguous (e.g. shared-memory placement policies).
 fn kernel_json(kernel: &dyn Kernel) -> Json {
-    let ws = kernel.workspace().map(|w| {
-        Json::obj()
-            .field("base", w.base)
-            .field("bytes", w.bytes)
-            .field("elem_bytes", w.elem_bytes)
-            .field("row_stride_elems", w.row_stride_elems)
-            .field("input_w", w.input_w)
-            .field("channels", w.channels)
-            .field("fw", w.fw)
-            .field("fh", w.fh)
-            .field("out_w", w.out_w)
-            .field("out_h", w.out_h)
-            .field("stride", w.stride)
-            .field("pad", w.pad)
-            .field("batch", w.batch)
-            .build()
-    });
     Json::obj()
         .field("name", kernel.name())
         .field("num_ctas", kernel.num_ctas())
         .field("shared_mem_per_cta", kernel.shared_mem_per_cta())
         .field("regs_per_warp", kernel.regs_per_warp())
-        .field("workspace", ws)
+        .field(
+            "workspace",
+            wtrace::workspace_json(kernel.workspace().as_ref()),
+        )
         // Kernels with externally-sourced instruction content (replayed
         // wtrace files) salt the key with their content digest; for the
         // in-tree generators this is None and the field is omitted, so
@@ -515,28 +518,35 @@ fn entry_path(dir: &Path, key: u128) -> PathBuf {
     dir.join(format!("{}.json", digest::hex(key)))
 }
 
-fn disk_load(ctl: &CacheCtl, key: u128) -> Option<GpuRunResult> {
+/// The entry for `key` and the bytes read, if one decodes.
+fn disk_load(ctl: &CacheCtl, key: u128) -> Option<(GpuRunResult, u64)> {
     let dir = ctl.dir()?;
     let text = std::fs::read_to_string(entry_path(&dir, key)).ok()?;
     let doc = parse(&text).ok()?;
     let result = result_from_json(&doc)?;
-    cm().disk_read_bytes.add(text.len() as u64);
-    Some(result)
+    let bytes = text.len() as u64;
+    cm().disk_read_bytes.add(bytes);
+    Some((result, bytes))
 }
 
-fn disk_store(ctl: &CacheCtl, key: u128, r: &GpuRunResult) {
-    let Some(dir) = ctl.dir() else { return };
+/// Writes the entry for `key`; returns the bytes written (0 when there is
+/// no disk tier or the write failed).
+fn disk_store(ctl: &CacheCtl, key: u128, r: &GpuRunResult) -> u64 {
+    let Some(dir) = ctl.dir() else { return 0 };
     if std::fs::create_dir_all(&dir).is_err() {
-        return;
+        return 0;
     }
     let text = result_to_json(r).to_pretty();
     // Atomic publish: write a private temp file, then rename over the
     // entry, so concurrent processes never observe a torn write.
     let tmp = dir.join(format!(".{}.tmp.{}", digest::hex(key), std::process::id()));
     if std::fs::write(&tmp, &text).is_ok() && std::fs::rename(&tmp, entry_path(&dir, key)).is_ok() {
-        cm().disk_write_bytes.add(text.len() as u64);
+        let bytes = text.len() as u64;
+        cm().disk_write_bytes.add(bytes);
+        bytes
     } else {
         let _ = std::fs::remove_file(&tmp);
+        0
     }
 }
 
@@ -834,29 +844,5 @@ mod tests {
         }
         assert!(result_from_json(&Json::Null).is_none());
         assert!(result_from_json(&parse("{\"cycles\": \"x\"}").unwrap()).is_none());
-    }
-
-    #[test]
-    fn stats_snapshot_delta_is_monotone() {
-        let a = CacheStats {
-            hits: 5,
-            misses: 2,
-            bytes: 100,
-        };
-        let b = CacheStats {
-            hits: 8,
-            misses: 2,
-            bytes: 150,
-        };
-        assert_eq!(
-            b.since(&a),
-            CacheStats {
-                hits: 3,
-                misses: 0,
-                bytes: 50
-            }
-        );
-        // Saturates rather than wrapping if snapshots are misordered.
-        assert_eq!(a.since(&b).hits, 0);
     }
 }

@@ -247,7 +247,7 @@ impl GpuSim {
         };
         let sink = self.opts.trace_sink.as_ref();
         let mut simulated = false;
-        let result =
+        let (result, lookup) =
             crate::cache::run_cached_ctl(&self.opts.cache_ctl(), &self.config, kernel, || {
                 simulated = true;
                 let (result, timelines) = self.simulate(kernel, sink.map(|s| s.options().spec()));
@@ -264,7 +264,7 @@ impl GpuSim {
         m.kernel_cycles.add(result.cycles as u64);
         refresh_sm_gauges(m);
         if let Some(p) = &self.opts.progress {
-            p.add_cycles(result.cycles as u64);
+            p.add_run(result.cycles as u64, lookup);
         }
         result
     }
@@ -284,25 +284,22 @@ impl GpuSim {
         let sm_ids: Vec<usize> = (0..cfg.sms_simulated).collect();
         let simulate_start = std::time::Instant::now();
         let per_sm = crate::runner::par_map_opt(self.opts.threads, &sm_ids, |&sm_id| {
-            // Round-robin CTA assignment, matching real rasterization.
-            let share: Vec<usize> = (sm_id..n_ctas).step_by(cfg.total_sms).collect();
-            if share.is_empty() {
+            let (share_len, ctas) = sm_ctas(cfg, sm_id, n_ctas);
+            if share_len == 0 {
                 return None;
             }
-            let take = cfg.sample_ctas.unwrap_or(share.len()).min(share.len());
-            let ctas = &share[..take];
             let (stats, timeline) = match spec {
                 None => (
-                    run_kernel_mode(kernel, ctas, cfg.sm.clone(), reference),
+                    run_kernel_mode(kernel, &ctas, cfg.sm.clone(), reference),
                     None,
                 ),
                 Some(spec) => {
                     let (stats, timeline) =
-                        run_kernel_traced_mode(kernel, ctas, cfg.sm.clone(), spec, reference);
+                        run_kernel_traced_mode(kernel, &ctas, cfg.sm.clone(), spec, reference);
                     (stats, Some(timeline))
                 }
             };
-            Some((share.len(), take, stats, timeline))
+            Some((share_len, ctas.len(), stats, timeline))
         });
         gm().simulate_us
             .observe(simulate_start.elapsed().as_micros() as u64);
@@ -319,6 +316,16 @@ impl GpuSim {
             .observe(fold_start.elapsed().as_micros() as u64);
         (result, timelines)
     }
+}
+
+/// The CTAs representative SM `sm_id` simulates of a `num_ctas`-CTA grid:
+/// its round-robin share (matching real rasterization) truncated to the
+/// sampling prefix, beside the full share length that scales time.
+pub(crate) fn sm_ctas(cfg: &GpuConfig, sm_id: usize, num_ctas: usize) -> (usize, Vec<usize>) {
+    let mut ctas: Vec<usize> = (sm_id..num_ctas).step_by(cfg.total_sms).collect();
+    let share_len = ctas.len();
+    ctas.truncate(cfg.sample_ctas.unwrap_or(share_len));
+    (share_len, ctas)
 }
 
 /// Folds per-SM `(share_len, take, stats)` outcomes — in `sm_id` order —

@@ -23,10 +23,10 @@
 //!   Snapshots taken under `DUPLO_JSON_STABLE=1` (or with
 //!   `stable_only = true`) suppress volatile metrics, so the encoding is
 //!   byte-reproducible.
-//! * `DUPLO_METRICS=off` turns every mutation into a no-op — except for
-//!   metrics registered *exempt*, which are load-bearing (the cache
-//!   counters feed [`crate::cache::stats`] and the `cache:` stderr
-//!   lines), so the kill switch cannot change observable behavior.
+//! * `DUPLO_METRICS=off` turns every mutation into a no-op. Nothing but
+//!   telemetry reads the registry (per-run reports come from the run's
+//!   [`crate::progress::ProgressHandle`]), so the kill switch freezes
+//!   every family without changing any other output.
 //!
 //! Rendering: [`render_prometheus`] emits the Prometheus text exposition
 //! format, [`snapshot_json`] a deterministic sorted-name JSON document
@@ -59,7 +59,7 @@ fn env_enabled() -> bool {
     })
 }
 
-/// Whether non-exempt metric mutations are currently recorded
+/// Whether metric mutations are currently recorded
 /// (`DUPLO_METRICS=off` disables them; registration and rendering always
 /// work).
 pub fn enabled() -> bool {
@@ -129,17 +129,10 @@ struct Metric {
     name: String,
     help: String,
     stability: Stability,
-    /// Exempt from the `DUPLO_METRICS=off` kill switch (load-bearing
-    /// counters that feed non-telemetry APIs).
-    exempt: bool,
     value: Value,
 }
 
 impl Metric {
-    fn hot(&self) -> bool {
-        self.exempt || enabled()
-    }
-
     fn kind(&self) -> &'static str {
         match self.value {
             Value::Counter(_) => "counter",
@@ -187,10 +180,9 @@ pub fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
 pub struct Counter(Arc<Metric>);
 
 impl Counter {
-    /// Adds `n` (no-op when the kill switch is active and the counter is
-    /// not exempt).
+    /// Adds `n` (no-op when the kill switch is active).
     pub fn add(&self, n: u64) {
-        if self.0.hot() {
+        if enabled() {
             match &self.0.value {
                 Value::Counter(v) => {
                     v.fetch_add(n, Ordering::Relaxed);
@@ -228,14 +220,14 @@ impl Gauge {
 
     /// Sets the gauge.
     pub fn set(&self, v: i64) {
-        if self.0.hot() {
+        if enabled() {
             self.cell().store(v, Ordering::Relaxed);
         }
     }
 
     /// Adds `d` (may be negative).
     pub fn add(&self, d: i64) {
-        if self.0.hot() {
+        if enabled() {
             self.cell().fetch_add(d, Ordering::Relaxed);
         }
     }
@@ -266,7 +258,7 @@ impl Histogram {
     /// Records one observation: the first bucket whose inclusive upper
     /// bound is `>= v`, or the overflow bucket.
     pub fn observe(&self, v: u64) {
-        if !self.0.hot() {
+        if !enabled() {
             return;
         }
         let h = self.histo();
@@ -300,12 +292,11 @@ impl Histogram {
 // Registration
 // ---------------------------------------------------------------------------
 
-fn register_counter(name: &str, help: &str, stability: Stability, exempt: bool) -> Counter {
+fn register_counter(name: &str, help: &str, stability: Stability) -> Counter {
     let m = get_or_insert(name, || Metric {
         name: name.to_string(),
         help: help.to_string(),
         stability,
-        exempt,
         value: Value::Counter(AtomicU64::new(0)),
     });
     assert!(
@@ -318,19 +309,12 @@ fn register_counter(name: &str, help: &str, stability: Stability, exempt: bool) 
 
 /// Registers (or fetches) a stable counter.
 pub fn counter(name: &str, help: &str) -> Counter {
-    register_counter(name, help, Stability::Stable, false)
+    register_counter(name, help, Stability::Stable)
 }
 
 /// Registers (or fetches) a volatile counter (host-dependent value).
 pub fn volatile_counter(name: &str, help: &str) -> Counter {
-    register_counter(name, help, Stability::Volatile, false)
-}
-
-/// Registers (or fetches) a stable counter exempt from the
-/// `DUPLO_METRICS=off` kill switch — for counters that feed non-telemetry
-/// APIs and must keep counting regardless.
-pub fn exempt_counter(name: &str, help: &str) -> Counter {
-    register_counter(name, help, Stability::Stable, true)
+    register_counter(name, help, Stability::Volatile)
 }
 
 fn register_gauge(name: &str, help: &str, stability: Stability) -> Gauge {
@@ -338,7 +322,6 @@ fn register_gauge(name: &str, help: &str, stability: Stability) -> Gauge {
         name: name.to_string(),
         help: help.to_string(),
         stability,
-        exempt: false,
         value: Value::Gauge(AtomicI64::new(0)),
     });
     assert!(
@@ -373,7 +356,6 @@ pub fn histogram(name: &str, help: &str, bounds: &[u64]) -> Histogram {
         name: name.to_string(),
         help: help.to_string(),
         stability: Stability::Volatile,
-        exempt: false,
         value: Value::Histogram(Histo {
             bounds: bounds.to_vec(),
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
@@ -556,15 +538,15 @@ mod tests {
     }
 
     #[test]
-    fn kill_switch_freezes_non_exempt_metrics() {
+    fn kill_switch_freezes_every_metric() {
         let _g = override_enabled(false);
-        let c = counter("test_kill_plain", "frozen when off");
-        let e = exempt_counter("test_kill_exempt", "never frozen");
-        let before = (c.get(), e.get());
+        let c = counter("test_kill_counter", "frozen when off");
+        let g = gauge("test_kill_gauge", "frozen when off");
+        let h = histogram("test_kill_hist", "frozen when off", &[1]);
         c.inc();
-        e.inc();
-        assert_eq!(c.get(), before.0, "non-exempt counter must freeze");
-        assert_eq!(e.get(), before.1 + 1, "exempt counter must keep counting");
+        g.set(3);
+        h.observe(1);
+        assert_eq!((c.get(), g.get(), h.count()), (0, 0, 0));
     }
 
     #[test]

@@ -329,6 +329,66 @@ mod tests {
     }
 
     #[test]
+    fn default_sample_passes_through() {
+        let cli = RunOptions::from_cli(&[], Some(4)).unwrap();
+        assert_eq!(cli.sample_ctas, Some(4));
+    }
+
+    #[test]
+    fn sample_and_full_override_the_default() {
+        let cli = RunOptions::from_cli(&argv(&["--sample", "16"]), Some(4)).unwrap();
+        assert_eq!(cli.sample_ctas, Some(16));
+        let cli = RunOptions::from_cli(&argv(&["--full"]), Some(4)).unwrap();
+        assert_eq!(cli.sample_ctas, None);
+    }
+
+    #[test]
+    fn sample_zero_is_rejected_with_a_clear_message() {
+        let err = RunOptions::from_cli(&argv(&["--sample", "0"]), None).unwrap_err();
+        assert!(err.contains("positive integer"), "{err}");
+        assert!(err.contains("--full"), "should point at --full: {err}");
+        let err = RunOptions::from_cli(&argv(&["--sample", "two"]), None).unwrap_err();
+        assert!(err.contains("positive integer"), "{err}");
+        let err = RunOptions::from_cli(&argv(&["--sample"]), None).unwrap_err();
+        assert!(err.contains("requires a value"), "{err}");
+    }
+
+    #[test]
+    fn unknown_arguments_error_instead_of_panicking() {
+        let err = RunOptions::from_cli(&argv(&["--bogus"]), None).unwrap_err();
+        assert!(err.contains("unknown argument"), "{err}");
+        assert!(err.contains("--bogus"), "{err}");
+    }
+
+    #[test]
+    fn cache_flags_parse() {
+        let cli =
+            RunOptions::from_cli(&argv(&["--cache-dir", "/tmp/c", "--no-cache"]), None).unwrap();
+        assert_eq!(cli.cache_dir, Some(PathBuf::from("/tmp/c")));
+        assert!(cli.no_cache);
+        let cli = RunOptions::from_cli(&[], None).unwrap();
+        assert_eq!(cli.cache_dir, None);
+        assert!(!cli.no_cache);
+        let err = RunOptions::from_cli(&argv(&["--cache-dir"]), None).unwrap_err();
+        assert!(err.contains("requires a value"), "{err}");
+    }
+
+    #[test]
+    fn trace_flags_parse() {
+        let cli = RunOptions::from_cli(
+            &argv(&["--trace", "/tmp/t.json", "--trace-interval", "256"]),
+            None,
+        )
+        .unwrap();
+        assert_eq!(cli.trace, Some(PathBuf::from("/tmp/t.json")));
+        assert_eq!(cli.trace_interval, Some(256));
+        let err = RunOptions::from_cli(&argv(&["--trace-interval", "0"]), None).unwrap_err();
+        assert!(err.contains("positive"), "{err}");
+        let err = RunOptions::from_cli(&argv(&["--trace"]), None).unwrap_err();
+        assert!(err.contains("requires a value"), "{err}");
+    }
+
+    #[test]
     fn trace_interval_env_values_fail_like_the_flag() {
         assert_eq!(parse_trace_interval("DUPLO_TRACE_INTERVAL", "256"), Ok(256));
         for bad in ["0", "abc", "-1", ""] {

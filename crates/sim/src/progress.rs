@@ -1,10 +1,14 @@
-//! Per-job progress handles for live submission streaming.
+//! Per-run progress handles: the run's own report.
 //!
-//! A [`ProgressHandle`] is a cheap shared cell describing one submission's
-//! lifecycle: `queued → running → done | failed`, with a
-//! cycles-simulated gauge updated by [`crate::GpuSim::run`] while the job
-//! is in flight. `duplo serve` creates one per submission, threads it
-//! through [`crate::RunOptions::progress`], and serves snapshots from the
+//! A [`ProgressHandle`] is a cheap shared cell describing one run — an
+//! experiment, or a `duplo serve` submission: its lifecycle (`queued →
+//! running → done | failed`), the simulated cycles and the run-cache
+//! lookups ([`crate::cache::CacheStats`]) of every kernel run carrying it
+//! in [`crate::RunOptions::progress`], which [`crate::GpuSim::run`] adds
+//! as each kernel finishes. Per-run cache reports (the CLI's `cache:`
+//! lines and JSON host block, `duplo serve`'s cache headers) read it, so
+//! they count exactly that run's lookups however many runs share the
+//! process. `duplo serve` also serves snapshots from the
 //! `GET /v1/progress/<digest>` long-poll endpoint.
 //!
 //! Every mutation bumps a sequence number and wakes waiters, so a client
@@ -15,6 +19,7 @@ use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use crate::cache::CacheStats;
 use crate::json::Json;
 
 /// Lifecycle state of one submission.
@@ -50,9 +55,22 @@ impl JobState {
 struct Inner {
     state: JobState,
     cycles: u64,
+    cache: CacheStats,
     seq: u64,
     /// Every state the job has passed through, in order.
     history: Vec<JobState>,
+}
+
+impl Inner {
+    fn snapshot(&self) -> ProgressSnapshot {
+        ProgressSnapshot {
+            state: self.state,
+            cycles: self.cycles,
+            cache: self.cache,
+            seq: self.seq,
+            history: self.history.clone(),
+        }
+    }
 }
 
 struct Shared {
@@ -67,6 +85,8 @@ pub struct ProgressSnapshot {
     pub state: JobState,
     /// Simulated cycles accumulated so far.
     pub cycles: u64,
+    /// The run's cache lookups so far (not on the `/v1/progress` wire).
+    pub cache: CacheStats,
     /// Change counter; pass back as `since` to long-poll.
     pub seq: u64,
     /// Every state passed through, in order (starts with `queued`).
@@ -105,6 +125,7 @@ impl fmt::Debug for ProgressHandle {
         f.debug_struct("ProgressHandle")
             .field("state", &s.state)
             .field("cycles", &s.cycles)
+            .field("cache", &s.cache)
             .field("seq", &s.seq)
             .finish()
     }
@@ -123,6 +144,7 @@ impl ProgressHandle {
             inner: Mutex::new(Inner {
                 state: JobState::Queued,
                 cycles: 0,
+                cache: CacheStats::default(),
                 seq: 1,
                 history: vec![JobState::Queued],
             }),
@@ -149,10 +171,12 @@ impl ProgressHandle {
         self.0.cv.notify_all();
     }
 
-    /// Adds simulated cycles to the live gauge and wakes long-pollers.
-    pub fn add_cycles(&self, cycles: u64) {
+    /// Adds one finished kernel run — its simulated cycles and its cache
+    /// lookup — and wakes long-pollers.
+    pub fn add_run(&self, cycles: u64, cache: CacheStats) {
         let mut inner = self.lock();
         inner.cycles += cycles;
+        inner.cache += cache;
         inner.seq += 1;
         drop(inner);
         self.0.cv.notify_all();
@@ -160,13 +184,7 @@ impl ProgressHandle {
 
     /// Current view of the job.
     pub fn snapshot(&self) -> ProgressSnapshot {
-        let inner = self.lock();
-        ProgressSnapshot {
-            state: inner.state,
-            cycles: inner.cycles,
-            seq: inner.seq,
-            history: inner.history.clone(),
-        }
+        self.lock().snapshot()
     }
 
     /// Blocks until the sequence number passes `since` (something
@@ -190,12 +208,7 @@ impl ProgressHandle {
                 .unwrap_or_else(|e| e.into_inner());
             inner = guard;
         }
-        ProgressSnapshot {
-            state: inner.state,
-            cycles: inner.cycles,
-            seq: inner.seq,
-            history: inner.history.clone(),
-        }
+        inner.snapshot()
     }
 }
 
@@ -208,12 +221,29 @@ mod tests {
         let p = ProgressHandle::new();
         assert_eq!(p.snapshot().state, JobState::Queued);
         p.set_state(JobState::Running);
-        p.add_cycles(100);
-        p.add_cycles(50);
+        let miss = CacheStats {
+            misses: 1,
+            bytes: 10,
+            ..CacheStats::default()
+        };
+        let hit = CacheStats {
+            hits: 1,
+            ..CacheStats::default()
+        };
+        p.add_run(100, miss);
+        p.add_run(50, hit);
         p.set_state(JobState::Done);
         let s = p.snapshot();
         assert_eq!(s.state, JobState::Done);
         assert_eq!(s.cycles, 150);
+        assert_eq!(
+            s.cache,
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                bytes: 10
+            }
+        );
         assert_eq!(
             s.history,
             vec![JobState::Queued, JobState::Running, JobState::Done]
@@ -227,7 +257,7 @@ mod tests {
     fn clones_share_one_cell_and_equality_is_identity() {
         let p = ProgressHandle::new();
         let q = p.clone();
-        q.add_cycles(7);
+        q.add_run(7, CacheStats::default());
         assert_eq!(p.snapshot().cycles, 7);
         assert_eq!(p, q);
         assert_ne!(p, ProgressHandle::new());

@@ -951,7 +951,6 @@ fn submit_experiment(
         }
         trace::TraceSink::new(topts)
     });
-    let before = cache::stats();
     progress.set_state(JobState::Running);
     let out = (spec.run)(&opts);
     let artifact = opts.trace_sink.as_ref().map(|sink| {
@@ -966,30 +965,13 @@ fn submit_experiment(
         ));
         key
     });
-    progress.set_state(JobState::Done);
-    let delta = cache::stats().since(&before);
     // The stable result form: no host block, ever — responses must be
     // byte-identical across cache states and thread counts.
-    let body = out.result.to_pretty();
-    let key = state.results.insert(body.as_bytes());
-    slog(format_args!(
-        "ran {} (cache hits={} misses={}) -> {key}",
-        spec.name, delta.hits, delta.misses
-    ));
-    let mut extra = vec![
-        ("X-Duplo-Digest".to_string(), key),
-        ("X-Duplo-Cache-Hits".to_string(), delta.hits.to_string()),
-        ("X-Duplo-Cache-Misses".to_string(), delta.misses.to_string()),
-    ];
+    let mut resp = finish_submission(state, progress, spec.name, out.result.to_pretty());
     if let Some(a) = artifact {
-        extra.push(("X-Duplo-Artifact".to_string(), a));
+        resp.extra.push(("X-Duplo-Artifact".to_string(), a));
     }
-    Response {
-        status: 200,
-        body: body.into_bytes(),
-        extra,
-        content_type: "application/json",
-    }
+    resp
 }
 
 fn submit_wtrace(
@@ -1007,7 +989,6 @@ fn submit_wtrace(
         Err(msg) => return error_response(400, &msg),
     };
     opts.progress = Some(progress.clone());
-    let before = cache::stats();
     progress.set_state(JobState::Running);
     let cfg = opts.apply(crate::GpuConfig::titan_v());
     let mut rows = Vec::new();
@@ -1023,26 +1004,39 @@ fn submit_wtrace(
                 .build(),
         );
     }
-    progress.set_state(JobState::Done);
-    let delta = cache::stats().since(&before);
-    let rows_len = rows.len();
+    let what = format!("wtrace of {} kernels", rows.len());
     let body = Json::obj()
         .field("schema", u64::from(crate::results::SCHEMA_VERSION))
         .field("kernels", Json::Arr(rows))
         .build()
         .to_pretty();
+    finish_submission(state, progress, &what, body)
+}
+
+/// The shared tail of a successful submission: marks the job done, stores
+/// `body` by digest, and answers with it. The cache headers and the `ran`
+/// log line carry the submission's own lookups, read from its progress
+/// handle, so concurrent submissions never see each other's.
+fn finish_submission(
+    state: &ServerState,
+    progress: &ProgressHandle,
+    what: &str,
+    body: String,
+) -> Response {
+    progress.set_state(JobState::Done);
+    let cache = progress.snapshot().cache;
     let key = state.results.insert(body.as_bytes());
     slog(format_args!(
-        "ran wtrace ({} kernels, cache hits={} misses={}) -> {key}",
-        rows_len, delta.hits, delta.misses
+        "ran {what} (cache hits={} misses={}) -> {key}",
+        cache.hits, cache.misses
     ));
     Response {
         status: 200,
         body: body.into_bytes(),
         extra: vec![
             ("X-Duplo-Digest".to_string(), key),
-            ("X-Duplo-Cache-Hits".to_string(), delta.hits.to_string()),
-            ("X-Duplo-Cache-Misses".to_string(), delta.misses.to_string()),
+            ("X-Duplo-Cache-Hits".to_string(), cache.hits.to_string()),
+            ("X-Duplo-Cache-Misses".to_string(), cache.misses.to_string()),
         ],
         content_type: "application/json",
     }
@@ -1231,6 +1225,9 @@ mod tests {
 
     #[test]
     fn blob_store_evicts_least_recently_used() {
+        // The assertions read metric handles: keep the kill switch (which
+        // another unit test flips) off for the duration.
+        let _metrics_on = metrics::override_enabled(true);
         let store = BlobStore::new("unit_entries", 2, usize::MAX);
         let a = store.insert(b"aaaa");
         let b = store.insert(b"bbbb");
@@ -1398,6 +1395,49 @@ mod tests {
         let expected = (spec.run)(&opts).result.to_pretty();
         assert_eq!(traced.body, expected.as_bytes());
         assert_eq!(plain.body, expected.as_bytes());
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn concurrent_submissions_report_their_own_cache_lookups() {
+        // Two cold submissions started together (sample sizes no other
+        // test uses, so neither key is warm): each reply's cache headers
+        // must be its solo values — smem_policy's 3 kernels, all missed —
+        // however the two runs overlap.
+        let server = start_quiet();
+        let addr = addr_of(&server);
+        let submit = |sample: usize| {
+            let body = format!(
+                r#"{{"experiment": "smem_policy", "options": {{"sample_ctas": {sample}}}}}"#
+            );
+            let reply = http_request(&addr, "POST", "/v1/submit", Some(body.as_bytes())).unwrap();
+            assert_eq!(
+                reply.status,
+                200,
+                "{}",
+                String::from_utf8_lossy(&reply.body)
+            );
+            let header = |name| reply.header(name).map(str::to_string);
+            (header("x-duplo-cache-hits"), header("x-duplo-cache-misses"))
+        };
+        let barrier = std::sync::Barrier::new(2);
+        let (submit, barrier) = (&submit, &barrier);
+        let replies: Vec<_> = std::thread::scope(|s| {
+            let runs: Vec<_> = [5, 7]
+                .into_iter()
+                .map(|sample| {
+                    s.spawn(move || {
+                        barrier.wait();
+                        submit(sample)
+                    })
+                })
+                .collect();
+            runs.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (hits, misses) in replies {
+            assert_eq!((hits.as_deref(), misses.as_deref()), (Some("0"), Some("3")));
+        }
         server.shutdown();
         server.join();
     }

@@ -76,7 +76,7 @@ use std::sync::{Arc, Mutex};
 use duplo_isa::{ArchReg, CtaTrace, Kernel, Op, Space, WarpTrace, WorkspaceDesc, validate_cta};
 
 use crate::digest;
-use crate::gpu::GpuConfig;
+use crate::gpu::{GpuConfig, sm_ctas};
 use crate::json::{Json, parse};
 
 /// Version of the wtrace document layout; the decoder requires an exact
@@ -143,7 +143,10 @@ impl KernelRecord {
     }
 }
 
-fn workspace_json(ws: Option<&WorkspaceDesc>) -> Json {
+/// Canonical JSON of a workspace descriptor (`null` without one): the
+/// wtrace document's `workspace` field and part of the run-cache key
+/// ([`crate::cache::run_key`]), so changing it moves every key.
+pub(crate) fn workspace_json(ws: Option<&WorkspaceDesc>) -> Json {
     match ws {
         None => Json::Null,
         Some(w) => Json::obj()
@@ -190,12 +193,9 @@ fn match_key_parts(
 /// prefix. This is what a recording session captures and a replay session
 /// matches.
 pub fn simulated_ctas(cfg: &GpuConfig, num_ctas: usize) -> Vec<usize> {
-    let mut set = BTreeSet::new();
-    for sm_id in 0..cfg.sms_simulated {
-        let share: Vec<usize> = (sm_id..num_ctas).step_by(cfg.total_sms).collect();
-        let take = cfg.sample_ctas.unwrap_or(share.len()).min(share.len());
-        set.extend(share[..take].iter().copied());
-    }
+    let set: BTreeSet<usize> = (0..cfg.sms_simulated)
+        .flat_map(|sm_id| sm_ctas(cfg, sm_id, num_ctas).1)
+        .collect();
     set.into_iter().collect()
 }
 

@@ -1,20 +1,23 @@
 //! Correctness suite for the content-addressed run cache
-//! (`duplo_sim::cache`): digest stability, hit equivalence through the
-//! JSON serializer, single-flight semantics under a parallel runner, and
-//! corrupted-disk-entry fallback.
+//! (`duplo_sim::cache`): digest stability, pinned keys, hit equivalence
+//! through the JSON serializer, single-flight semantics under a parallel
+//! runner, and corrupted-disk-entry fallback.
 //!
 //! Each test names its own disk tier (`RunOptions::cache_dir`) or none
-//! (memory only). The hit/miss counters behind `cache::stats()` are
-//! process-wide telemetry, so the tests that move them serialize on
-//! `STATS` to keep each delta assertion to their own traffic.
+//! (memory only), and asserts on the `CacheStats` each lookup returns, so
+//! the tests share no counters and run in parallel.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
+use duplo_conv::ConvParams;
 use duplo_core::LhbConfig;
+use duplo_isa::Kernel;
 use duplo_kernels::{GemmTcKernel, SmemPolicy};
+use duplo_sim::cache::CacheStats;
 use duplo_sim::json::{Json, parse};
+use duplo_sim::wtrace::{KernelRecord, simulated_ctas};
 use duplo_sim::{GpuConfig, GpuSim, RunOptions, cache, digest, runner};
+use duplo_tensor::Nhwc;
 use duplo_testkit::prop;
 
 /// A configuration with a process-unique cache key: `clock_mhz` is part
@@ -26,12 +29,6 @@ fn unique_cfg() -> GpuConfig {
     let mut cfg = GpuConfig::titan_v().with_sample(1);
     cfg.clock_mhz = 1_000_000 + NONCE.fetch_add(1, Ordering::Relaxed) as u64;
     cfg
-}
-
-static STATS: Mutex<()> = Mutex::new(());
-
-fn stats_lock() -> MutexGuard<'static, ()> {
-    STATS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Cache controls with the disk tier at `dir` (`None`: memory only).
@@ -51,21 +48,34 @@ fn uncached() -> RunOptions {
     }
 }
 
-/// One cached lookup whose `compute` path counts simulator invocations.
-/// The nested `GpuSim::run` is uncached, so it cannot re-enter the cache
-/// under the same key (which would self-deadlock the single-flight slot).
+/// One cached lookup whose `compute` path counts simulator invocations;
+/// returns the serialized result and the lookup's outcome. The nested
+/// `GpuSim::run` is uncached, so it cannot re-enter the cache under the
+/// same key (which would self-deadlock the single-flight slot).
 fn counted_run(
     ctl: &cache::CacheCtl,
     cfg: &GpuConfig,
     kernel: &GemmTcKernel,
     sims: &AtomicUsize,
-) -> String {
-    let r = cache::run_cached_ctl(ctl, cfg, kernel, || {
+) -> (String, CacheStats) {
+    let (r, lookup) = cache::run_cached_ctl(ctl, cfg, kernel, || {
         sims.fetch_add(1, Ordering::SeqCst);
         GpuSim::with_options(cfg.clone(), uncached()).run(kernel)
     });
-    cache::result_to_json(&r).to_pretty()
+    (cache::result_to_json(&r).to_pretty(), lookup)
 }
+
+const HIT: CacheStats = CacheStats {
+    hits: 1,
+    misses: 0,
+    bytes: 0,
+};
+
+const MISS: CacheStats = CacheStats {
+    hits: 0,
+    misses: 1,
+    bytes: 0,
+};
 
 #[test]
 fn digest_is_stable_across_field_reordering() {
@@ -124,24 +134,69 @@ fn run_key_distinguishes_configs_and_kernels() {
     );
 }
 
+/// The disk-cache key and the wtrace match key are persistent identities:
+/// every cache directory and every recorded wtrace file is addressed by
+/// them, so no refactor of their encoders may move either. Pinned for one
+/// conv layer (a kernel with a workspace descriptor) at a flat point and
+/// at a 4-slice point over 3 representative SMs.
+#[test]
+fn run_and_match_keys_are_pinned() {
+    let params = ConvParams::new(Nhwc::new(8, 56, 56, 16), 16, 3, 3, 1, 1).unwrap();
+    let kernel = GemmTcKernel::from_conv(&params, SmemPolicy::COnly);
+    assert!(
+        kernel.workspace().is_some(),
+        "the workspace encoder is pinned too"
+    );
+    let points = [
+        (
+            None,
+            1,
+            "e523e0a399dcea5f9fa2f3745bc931ce",
+            "6af3aa633b6410aa02454b6b32f883a3",
+        ),
+        (
+            Some(4),
+            3,
+            "17e424e27dfde6282c9d8c6020d757aa",
+            "b92ec3e7d9c25c331aec567aa0068e17",
+        ),
+    ];
+    for (l2_slices, sms, run_key, match_key) in points {
+        let opts = RunOptions {
+            sample_ctas: Some(2),
+            l2_slices,
+            ..RunOptions::default()
+        };
+        let mut cfg = opts.apply(GpuConfig::titan_v().with_duplo(LhbConfig::paper_default()));
+        cfg.sms_simulated = sms;
+        let record = KernelRecord::capture(&kernel, &simulated_ctas(&cfg, kernel.num_ctas()));
+        assert_eq!(
+            digest::hex(cache::run_key(&cfg, &kernel)),
+            run_key,
+            "run key moved at l2_slices={l2_slices:?}: every disk cache is invalidated"
+        );
+        assert_eq!(
+            digest::hex(record.match_key()),
+            match_key,
+            "match key moved at l2_slices={l2_slices:?}: recorded wtrace files no longer replay"
+        );
+    }
+}
+
 #[test]
 fn memory_hit_is_byte_identical_and_skips_simulation() {
-    let _stats = stats_lock();
     let ctl = ctl(None); // memory tier only
     let cfg = unique_cfg();
     let kernel = GemmTcKernel::new(48, 32, 16, SmemPolicy::COnly);
     let sims = AtomicUsize::new(0);
-    let fresh = counted_run(&ctl, &cfg, &kernel, &sims);
-    let before = cache::stats();
-    let cached = counted_run(&ctl, &cfg, &kernel, &sims);
-    let delta = cache::stats().since(&before);
+    let (fresh, first) = counted_run(&ctl, &cfg, &kernel, &sims);
+    let (cached, again) = counted_run(&ctl, &cfg, &kernel, &sims);
     assert_eq!(
         sims.load(Ordering::SeqCst),
         1,
         "repeat must not re-simulate"
     );
-    assert_eq!(delta.hits, 1);
-    assert_eq!(delta.misses, 0);
+    assert_eq!((first, again), (MISS, HIT), "memory tier: no disk bytes");
     assert_eq!(
         cached, fresh,
         "cached result must serialize byte-identically"
@@ -149,16 +204,34 @@ fn memory_hit_is_byte_identical_and_skips_simulation() {
 }
 
 #[test]
+fn disabled_cache_reports_no_lookup() {
+    let ctl = RunOptions {
+        no_cache: true,
+        ..RunOptions::default()
+    }
+    .cache_ctl();
+    let cfg = unique_cfg();
+    let kernel = GemmTcKernel::new(16, 16, 16, SmemPolicy::COnly);
+    let sims = AtomicUsize::new(0);
+    for _ in 0..2 {
+        let (_, lookup) = counted_run(&ctl, &cfg, &kernel, &sims);
+        assert_eq!(lookup, CacheStats::default());
+    }
+    assert_eq!(sims.load(Ordering::SeqCst), 2, "every run simulates");
+}
+
+#[test]
 fn disk_tier_round_trips_byte_identically() {
     let dir = std::env::temp_dir().join(format!("duplo-cache-disk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let _stats = stats_lock();
     let ctl = ctl(Some(dir.clone()));
     let cfg = unique_cfg();
     let kernel = GemmTcKernel::new(32, 48, 16, SmemPolicy::COnly);
     let sims = AtomicUsize::new(0);
-    let fresh = counted_run(&ctl, &cfg, &kernel, &sims);
+    let (fresh, stored) = counted_run(&ctl, &cfg, &kernel, &sims);
     assert_eq!(sims.load(Ordering::SeqCst), 1);
+    assert_eq!((stored.hits, stored.misses), (0, 1));
+    assert!(stored.bytes > 0, "disk writes are accounted");
     let entries: Vec<_> = std::fs::read_dir(&dir)
         .expect("cache dir must exist")
         .map(|e| e.unwrap().path())
@@ -167,16 +240,20 @@ fn disk_tier_round_trips_byte_identically() {
     // Evict the memory tier: the reload must come from disk, not the
     // simulator, and serialize to the same bytes.
     cache::clear_memory();
-    let before = cache::stats();
-    let reloaded = counted_run(&ctl, &cfg, &kernel, &sims);
-    let delta = cache::stats().since(&before);
+    let (reloaded, loaded) = counted_run(&ctl, &cfg, &kernel, &sims);
     assert_eq!(
         sims.load(Ordering::SeqCst),
         1,
         "disk tier must serve the reload"
     );
-    assert_eq!(delta.hits, 1);
-    assert!(delta.bytes > 0, "disk reads are accounted");
+    assert_eq!(
+        loaded,
+        CacheStats {
+            bytes: stored.bytes,
+            ..HIT
+        },
+        "a disk hit reads back exactly the bytes written"
+    );
     assert_eq!(reloaded, fresh);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -185,12 +262,11 @@ fn disk_tier_round_trips_byte_identically() {
 fn corrupted_disk_entry_falls_back_to_simulation_and_repairs() {
     let dir = std::env::temp_dir().join(format!("duplo-cache-corrupt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let _stats = stats_lock();
     let ctl = ctl(Some(dir.clone()));
     let cfg = unique_cfg();
     let kernel = GemmTcKernel::new(16, 48, 32, SmemPolicy::COnly);
     let sims = AtomicUsize::new(0);
-    let fresh = counted_run(&ctl, &cfg, &kernel, &sims);
+    let (fresh, _) = counted_run(&ctl, &cfg, &kernel, &sims);
     let entry = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -200,11 +276,16 @@ fn corrupted_disk_entry_falls_back_to_simulation_and_repairs() {
         std::fs::write(&entry, garbage).unwrap();
         cache::clear_memory();
         let n_before = sims.load(Ordering::SeqCst);
-        let recomputed = counted_run(&ctl, &cfg, &kernel, &sims);
+        let (recomputed, lookup) = counted_run(&ctl, &cfg, &kernel, &sims);
         assert_eq!(
             sims.load(Ordering::SeqCst),
             n_before + 1,
             "corrupted entry {garbage:?} must fall back to simulation"
+        );
+        assert_eq!(
+            (lookup.hits, lookup.misses),
+            (0, 1),
+            "corrupted entry {garbage:?} counts as a miss"
         );
         assert_eq!(recomputed, fresh, "fallback result must match the original");
         // The bad entry was rewritten with a decodable one.
@@ -220,7 +301,6 @@ fn corrupted_disk_entry_falls_back_to_simulation_and_repairs() {
 
 #[test]
 fn single_flight_under_four_threads() {
-    let _stats = stats_lock();
     let ctl = ctl(None);
     prop::check(
         "cache_single_flight",
@@ -241,11 +321,11 @@ fn single_flight_under_four_threads() {
             let sims = AtomicUsize::new(0);
             let lanes: Vec<usize> = (0..8).collect();
             let runs = runner::par_map_opt(Some(4), &lanes, |_| {
-                let r = cache::run_cached_ctl(&ctl, &cfg, &kernel, || {
+                let (r, lookup) = cache::run_cached_ctl(&ctl, &cfg, &kernel, || {
                     sims.fetch_add(1, Ordering::SeqCst);
                     expected.clone()
                 });
-                cache::result_to_json(&r).to_pretty()
+                (cache::result_to_json(&r).to_pretty(), lookup)
             });
             let n = sims.load(Ordering::SeqCst);
             if n != 1 {
@@ -253,8 +333,20 @@ fn single_flight_under_four_threads() {
                     "expected exactly one simulation for 8 concurrent lookups, got {n}"
                 ));
             }
+            let mut total = CacheStats::default();
+            for (_, lookup) in &runs {
+                total += *lookup;
+            }
+            let want = CacheStats {
+                hits: 7,
+                misses: 1,
+                bytes: 0,
+            };
+            if total != want {
+                return Err(format!("8 lookups must sum to {want:?}, got {total:?}"));
+            }
             let want = cache::result_to_json(&expected).to_pretty();
-            if runs.iter().any(|r| *r != want) {
+            if runs.iter().any(|(r, _)| *r != want) {
                 return Err("followers must observe the leader's exact result".to_string());
             }
             Ok(())

@@ -5,8 +5,9 @@
 //! The single-flight proof needs no knowledge of how many kernels an
 //! experiment runs: for N identical cold submissions every kernel is
 //! simulated exactly once (the misses) and every other lookup joins the
-//! in-flight leader or the warm tiers (the hits), so the global counter
-//! deltas must satisfy `hits == (N - 1) * misses` exactly.
+//! in-flight leader or the warm tiers (the hits). Each reply's cache
+//! headers count that submission's own lookups, so their sums must
+//! satisfy `hits == (N - 1) * misses` exactly.
 //!
 //! A scraper thread hits `/v1/metrics` throughout both storms, proving
 //! the registry is readable under load, that the in-flight gauge never
@@ -16,10 +17,11 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
+use duplo_sim::RunOptions;
+use duplo_sim::cache::CacheStats;
 use duplo_sim::experiments::find_experiment;
 use duplo_sim::json::{Json, parse};
-use duplo_sim::serve::{ServeOptions, Server, http_request};
-use duplo_sim::{RunOptions, cache};
+use duplo_sim::serve::{HttpReply, ServeOptions, Server, http_request};
 
 /// One stable-agnostic scrape of `/v1/metrics?format=json`, returning the
 /// named metric's scalar value (0 when it has not been registered yet).
@@ -45,9 +47,17 @@ fn submission_body(name: &str, sample: usize) -> String {
     format!("{{\"experiment\": \"{name}\", \"options\": {{\"sample_ctas\": {sample}}}}}")
 }
 
-/// Fires `CLIENTS` concurrent submissions and returns (bodies, stats delta).
-fn storm(addr: &str, body: &str) -> (Vec<Vec<u8>>, cache::CacheStats) {
-    let before = cache::stats();
+/// A reply's `X-Duplo-Cache-*` header as a count.
+fn cache_header(reply: &HttpReply, name: &str) -> u64 {
+    reply
+        .header(name)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("reply lacks a numeric {name} header"))
+}
+
+/// Fires `CLIENTS` concurrent submissions and returns (bodies, the sum of
+/// their cache headers).
+fn storm(addr: &str, body: &str) -> (Vec<Vec<u8>>, CacheStats) {
     let handles: Vec<_> = (0..CLIENTS)
         .map(|_| {
             let addr = addr.to_string();
@@ -61,26 +71,26 @@ fn storm(addr: &str, body: &str) -> (Vec<Vec<u8>>, cache::CacheStats) {
                     "submission failed: {}",
                     String::from_utf8_lossy(&reply.body)
                 );
-                reply.body
+                reply
             })
         })
         .collect();
-    let bodies: Vec<Vec<u8>> = handles
-        .into_iter()
-        .map(|h| h.join().expect("client thread must not panic"))
-        .collect();
-    (bodies, cache::stats().since(&before))
+    let mut bodies = Vec::new();
+    let mut sum = CacheStats::default();
+    for h in handles {
+        let reply = h.join().expect("client thread must not panic");
+        sum.hits += cache_header(&reply, "x-duplo-cache-hits");
+        sum.misses += cache_header(&reply, "x-duplo-cache-misses");
+        bodies.push(reply.body);
+    }
+    (bodies, sum)
 }
 
 /// The full soak: cold storm, warm storm, byte-identity vs a direct run,
 /// clean shutdown. `sample` doubles as the cache-key discriminator so the
 /// two thread-count variants cannot warm each other through the
-/// process-global memory tier. The cache and request counters the soak
-/// asserts deltas of are process-wide telemetry, so the two variants take
-/// turns.
+/// process-global memory tier.
 fn soak(threads: usize, sample: usize) {
-    static COUNTERS: Mutex<()> = Mutex::new(());
-    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let cache_dir = std::env::temp_dir().join(format!(
         "duplo-soak-{}-t{threads}-s{sample}",
         std::process::id()
@@ -107,8 +117,11 @@ fn soak(threads: usize, sample: usize) {
     let name = "smem_policy";
     let body = submission_body(name, sample);
 
-    // Counters are process-global and cumulative across both soak
-    // variants, so all request-accounting below works on deltas.
+    // The request counters are process-wide telemetry, so the two soak
+    // variants take turns for the span of this one delta (the cache
+    // assertions read per-reply headers and need no lock).
+    static COUNTERS: Mutex<()> = Mutex::new(());
+    let turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let submit_ok = "duplo_serve_requests_total{route=\"/v1/submit\",status=\"200\"}";
     let submits_before = scrape_metric(&addr, submit_ok);
 
@@ -163,6 +176,7 @@ fn soak(threads: usize, sample: usize) {
     // Request accounting: both storms' submissions — and nothing else —
     // landed on the /v1/submit 200 counter.
     let submits_after = scrape_metric(&addr, submit_ok);
+    drop(turn);
     assert_eq!(
         submits_after - submits_before,
         2 * CLIENTS as i64,

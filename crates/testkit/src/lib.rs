@@ -11,8 +11,6 @@
 //!   ([`prop::check`]) with fixed-seed case generation, failure-case
 //!   shrinking over the underlying choice tape, and an environment
 //!   seed override (`DUPLO_TEST_SEED`),
-//! * [`bench`] — a lightweight timer-based bench harness (warmup + N
-//!   iterations, median/p95 report) for the `duplo-bench` bench targets,
 //! * [`diff`] — byte-precise document comparison for differential tests
 //!   (first-divergence location, caret-annotated failure reports).
 //!
@@ -26,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod diff;
 pub mod prop;
 pub mod rng;

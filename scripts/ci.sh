@@ -11,7 +11,6 @@
 # the simulator:
 #   DUPLO_TEST_SEED=<u64>   master seed for the property-test runner
 #   DUPLO_TEST_CASES=<u32>  override per-property case counts
-#   DUPLO_BENCH_ITERS=<u32> timed iterations in `cargo bench`
 #   DUPLO_THREADS=<usize>   worker threads for the parallel runner
 #                           (the determinism gate below pins 1 and 4)
 #   DUPLO_LOG=<level>       stderr verbosity: off|info|debug|trace
@@ -33,6 +32,12 @@ cargo build --release --offline
 
 echo "== cargo test -q --offline ==" >&2
 cargo test -q --offline
+
+# Benchmark build gate: `benchmark/` is a separate package that builds
+# against the crates' public API, so compile and unit-test it here rather
+# than finding a break only when the benchmark next runs.
+echo "== benchmark: cargo test --manifest-path benchmark/Cargo.toml ==" >&2
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Determinism gate: the parallel experiment engine must render
 # byte-identical tables at any thread count. Run the dedicated suite once
