@@ -2,11 +2,11 @@
 //!
 //! * `duplo list` — every registered experiment (name, paper anchor,
 //!   title),
-//! * `duplo describe <name>` — one experiment's metadata,
 //! * `duplo run <name|all> [options]` — run one experiment (or every
 //!   registered one) with the shared option set (`--sample`/`--full`,
 //!   `--json`/`--json-dir`, `--cache-dir`/`--no-cache`,
-//!   `--trace`/`--trace-interval`, `--trace-in`),
+//!   `--trace`/`--trace-interval`, `--trace-in`); every run simulates
+//!   full CTA shares unless `--sample N` says otherwise,
 //! * `duplo trace summarize <path>` — phase table of a trace file
 //!   written by `--trace`,
 //! * `duplo trace record <name> <out> [options]` — run an experiment and
@@ -24,17 +24,26 @@
 //!   daemon's `/v1/metrics` registry (Prometheus text, or the JSON
 //!   snapshot with `--json`).
 use duplo_bench::{
-    USAGE, exit_unknown_experiment, record_to_file, run_all, run_named, with_replay, with_trace,
+    USAGE, record_to_file, run_all, run_named, with_replay, with_trace, write_or_exit,
 };
-use duplo_sim::experiments::{find_experiment, registry};
+use duplo_sim::experiments::registry;
 use duplo_sim::json::Json;
 use duplo_sim::{RunOptions, serve};
 
-const COMMANDS: &str = "usage: duplo <command> [args]\n\ncommands:\n  list                       list registered experiments\n  describe <name>            show one experiment's metadata\n  run <name|all> [options]   run an experiment (or every registered one)\n  trace summarize <path>     print a phase table of a --trace file\n  trace record <name> <out> [options]  run an experiment, dumping its\n                             kernels to a wtrace file for --trace-in\n  serve [--addr <host:port>] [--workers N] [--port-file <path>] [options]\n                             start the HTTP simulation service; shared\n                             options become per-submission defaults\n  submit --addr <host:port> <name> [--sample N|--full] [--no-cache]\n         [--tick-reference] [--l2-slices N] [--l2-hash mod|xor] [--trace]\n                             run an experiment on a daemon and print the\n                             response body (--shutdown stops the daemon)\n  metrics --addr <host:port> [--json]\n                             scrape a running daemon's /v1/metrics and\n                             print it (Prometheus text, or the JSON\n                             snapshot with --json)";
+const COMMANDS: &str = "usage: duplo <command> [args]\n\ncommands:\n  list                       list registered experiments\n  run <name|all> [options]   run an experiment (or every registered one)\n  trace summarize <path>     print a phase table of a --trace file\n  trace record <name> <out> [options]  run an experiment, dumping its\n                             kernels to a wtrace file for --trace-in\n  serve [--addr <host:port>] [--workers N] [--port-file <path>] [options]\n                             start the HTTP simulation service; shared\n                             options become per-submission defaults\n  submit --addr <host:port> <name> [--sample N|--full] [--no-cache]\n         [--tick-reference] [--l2-slices N] [--l2-hash mod|xor] [--trace]\n                             run an experiment on a daemon and print the\n                             response body (--shutdown stops the daemon)\n  metrics --addr <host:port> [--json]\n                             scrape a running daemon's /v1/metrics and\n                             print it (Prometheus text, or the JSON\n                             snapshot with --json)";
 
 fn usage_exit(code: i32) -> ! {
     eprintln!("{COMMANDS}\n\n{USAGE}");
     std::process::exit(code);
+}
+
+/// Parses the shared option set with [`RunOptions::from_cli`]; a bad
+/// argument prints the error and usage and exits with code 2.
+fn options_or_exit(args: &[String]) -> RunOptions {
+    RunOptions::from_cli(args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        usage_exit(2);
+    })
 }
 
 /// `duplo serve`: split the daemon flags off, parse the remainder as the
@@ -82,19 +91,10 @@ fn cmd_serve(args: &[String]) {
             }
         }
     }
-    let explicit_sample = rest.iter().any(|a| a == "--sample" || a == "--full");
-    let defaults = match RunOptions::from_cli(&rest, None) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            usage_exit(2);
-        }
-    };
     let server = serve::Server::start(serve::ServeOptions {
         addr,
         workers,
-        defaults,
-        explicit_sample,
+        defaults: options_or_exit(&rest),
         ..serve::ServeOptions::default()
     })
     .unwrap_or_else(|e| {
@@ -102,8 +102,7 @@ fn cmd_serve(args: &[String]) {
         std::process::exit(2);
     });
     if let Some(path) = port_file {
-        std::fs::write(&path, format!("{}\n", server.local_addr()))
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        write_or_exit(&path, &format!("{}\n", server.local_addr()));
     }
     server.join();
 }
@@ -323,59 +322,16 @@ fn main() {
                 println!("{:<20} {:<10} {}", spec.name, spec.paper_ref, spec.title);
             }
         }
-        Some("describe") => {
-            let Some(name) = args.get(1) else {
-                eprintln!("error: describe requires an experiment name");
-                usage_exit(2);
-            };
-            let Some(spec) = find_experiment(name) else {
-                exit_unknown_experiment(name);
-            };
-            println!("name:           {}", spec.name);
-            println!("title:          {}", spec.title);
-            println!("paper ref:      {}", spec.paper_ref);
-            match spec.default_sample {
-                Some(n) => println!("default sample: {n} CTAs per representative SM"),
-                None => println!("default sample: full CTA shares"),
-            }
-            println!(
-                "in all run:     {}",
-                if spec.in_all {
-                    "yes (all_experiments / EXPERIMENTS.md)"
-                } else {
-                    "no (duplo run only)"
-                }
-            );
-        }
         Some("run") => {
             let Some(target) = args.get(1) else {
                 eprintln!("error: run requires an experiment name or `all`");
                 usage_exit(2);
             };
-            let rest = &args[2..];
+            let cli = options_or_exit(&args[2..]);
             if target == "all" {
-                match RunOptions::from_cli(rest, Some(8)) {
-                    Ok(cli) => {
-                        with_trace(&cli, |o| with_replay(o, |o| run_all(o, true)));
-                    }
-                    Err(msg) => {
-                        eprintln!("error: {msg}");
-                        usage_exit(2);
-                    }
-                }
+                with_trace(&cli, |o| with_replay(o, run_all));
             } else {
-                let Some(spec) = find_experiment(target) else {
-                    exit_unknown_experiment(target);
-                };
-                match RunOptions::from_cli(rest, spec.default_sample) {
-                    Ok(cli) => {
-                        with_trace(&cli, |o| with_replay(o, |o| run_named(target, o)));
-                    }
-                    Err(msg) => {
-                        eprintln!("error: {msg}");
-                        usage_exit(2);
-                    }
-                }
+                with_trace(&cli, |o| with_replay(o, |o| run_named(target, o)));
             }
         }
         Some("trace") => match args.get(1).map(String::as_str) {
@@ -405,25 +361,15 @@ fn main() {
                     eprintln!("error: trace record requires an experiment name and an output path");
                     usage_exit(2);
                 };
-                let Some(spec) = find_experiment(name) else {
-                    exit_unknown_experiment(name);
-                };
-                match RunOptions::from_cli(&args[4..], spec.default_sample) {
-                    Ok(cli) => {
-                        if cli.trace_in.is_some() {
-                            eprintln!("error: --trace-in cannot be combined with trace record");
-                            std::process::exit(2);
-                        }
-                        let out_path = std::path::PathBuf::from(out);
-                        with_trace(&cli, |o| {
-                            record_to_file(&out_path, o, |o| run_named(name, o))
-                        });
-                    }
-                    Err(msg) => {
-                        eprintln!("error: {msg}");
-                        usage_exit(2);
-                    }
+                let cli = options_or_exit(&args[4..]);
+                if cli.trace_in.is_some() {
+                    eprintln!("error: --trace-in cannot be combined with trace record");
+                    std::process::exit(2);
                 }
+                let out_path = std::path::PathBuf::from(out);
+                with_trace(&cli, |o| {
+                    record_to_file(&out_path, o, |o| run_named(name, o))
+                });
             }
             other => {
                 match other {

@@ -1,12 +1,16 @@
-//! Support library for the `duplo` CLI and `all_experiments`.
+//! Support library for the `duplo` CLI.
 //!
 //! Every experiment command accepts:
 //!
 //! * `--sample <N>` — simulate at most `N` CTAs per representative SM and
-//!   scale time linearly (the default for the heaviest sweeps),
-//! * `--full` — simulate every CTA of each SM's share,
+//!   scale time linearly,
+//! * `--full` — simulate every CTA of each SM's share. This is the default
+//!   at every entry point; the flag only overrides an earlier `--sample`,
 //! * `--json <path>` — additionally write the experiment's structured
 //!   result (see `duplo_sim::results`) to `path`,
+//! * `--json-dir <dir>` (or `DUPLO_JSON_DIR`) — write `<dir>/<name>.json`
+//!   for every experiment the command runs; `duplo run all` adds the
+//!   `BENCH_duplo.json` roll-up,
 //! * `--cache-dir <dir>` — persist the run cache there (overrides the
 //!   `DUPLO_CACHE_DIR` environment variable; see `duplo_sim::cache`),
 //! * `--no-cache` — disable run-cache lookups and stores entirely,
@@ -24,19 +28,16 @@
 //! added to a copy of it ([`with_trace`], [`with_replay`],
 //! [`record_to_file`]), so nothing here touches process state.
 //!
+//! `duplo run <name>` resolves the experiment in the shared registry
+//! (`duplo_sim::experiments::registry`) and runs it under one protocol
+//! ([`run_spec`]): sampling banner, timed run, rendered table on stdout.
+//! `duplo run all` ([`run_all`]) runs the whole registry under one `[all]`
+//! banner.
+//!
 //! All stderr chatter (banners, wall-clock, cache counters, the `run all`
 //! heartbeat) goes through `duplo_sim::log`: `DUPLO_LOG=off` silences it
-//! entirely, `debug`/`trace` add detail. Error reporting (bad arguments)
-//! stays unconditional.
-//!
-//! `all_experiments` and `duplo run` also accept `--json-dir <dir>` (or
-//! the `DUPLO_JSON_DIR` environment variable) and write one file per
-//! experiment plus a `BENCH_duplo.json` roll-up.
-//!
-//! `duplo run <name>` resolves the experiment in the shared registry
-//! (`duplo_sim::experiments::registry`) and runs it under the common
-//! protocol ([`run_spec`]): optional sampling banner, timed run, rendered
-//! table on stdout.
+//! entirely, `debug`/`trace` add detail. Errors (bad arguments, output
+//! paths that cannot be written) stay unconditional and exit with code 2.
 //!
 //! JSON files normally carry a `host` block (wall-clock seconds, worker
 //! threads, and the experiment's own run-cache hits/misses/bytes, read
@@ -44,6 +45,8 @@
 //! omits it, making the files byte-identical across machines, thread
 //! counts, and cache states — the CI determinism and cache gates diff two
 //! such runs.
+
+use std::path::Path;
 
 use duplo_sim::cache::CacheStats;
 use duplo_sim::experiments::{
@@ -57,7 +60,21 @@ use duplo_sim::runner::resolve_threads;
 use duplo_sim::{RunOptions, log, trace, wtrace};
 
 /// Usage summary printed (with a nonzero exit) on bad arguments.
-pub const USAGE: &str = "options:\n  --sample <N>      simulate at most N CTAs per representative SM (N >= 1)\n  --full            simulate every CTA of each SM's share\n  --json <path>     write the structured result to <path>\n  --json-dir <dir>  write per-experiment JSON files under <dir>\n  --cache-dir <dir> persist the run cache under <dir> (overrides DUPLO_CACHE_DIR)\n  --no-cache        disable the run cache\n  --trace <path>    write a Chrome trace-event timeline to <path> (DUPLO_TRACE)\n  --trace-interval <N>  cycles between trace samples (default 1024; DUPLO_TRACE_INTERVAL)\n  --trace-in <file> replay a recorded wtrace file instead of the generators\n                    (record one with `duplo trace record`)\n\nenvironment:\n  DUPLO_LOG=off|info|debug|trace   stderr verbosity (default info)";
+pub const USAGE: &str = "options:\n  --sample <N>      simulate at most N CTAs per representative SM (N >= 1)\n  --full            simulate every CTA of each SM's share (the default)\n  --json <path>     write the structured result to <path>\n  --json-dir <dir>  write <dir>/<name>.json per experiment (DUPLO_JSON_DIR)\n  --cache-dir <dir> persist the run cache under <dir> (overrides DUPLO_CACHE_DIR)\n  --no-cache        disable the run cache\n  --trace <path>    write a Chrome trace-event timeline to <path> (DUPLO_TRACE)\n  --trace-interval <N>  cycles between trace samples (default 1024; DUPLO_TRACE_INTERVAL)\n  --trace-in <file> replay a recorded wtrace file instead of the generators\n                    (record one with `duplo trace record`)\n\nenvironment:\n  DUPLO_LOG=off|info|debug|trace   stderr verbosity (default info)";
+
+/// Writes `text` to `path`, creating missing parent directories. A path
+/// that cannot be written prints `error: cannot write <path>: <e>` and
+/// exits with code 2, the way an unreadable `--trace-in` file does.
+pub fn write_or_exit(path: &Path, text: &str) {
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+    let written = parent
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, text));
+    if let Err(e) = written {
+        eprintln!("error: cannot write {}: {e}", path.display());
+        std::process::exit(2);
+    }
+}
 
 /// Runs `f` with a trace sink added to `cli` when it asks for one
 /// (`--trace`/`DUPLO_TRACE`), writing the Chrome trace-event document
@@ -78,14 +95,7 @@ pub fn with_trace<T>(cli: &RunOptions, f: impl FnOnce(&RunOptions) -> T) -> T {
     });
     let data = sink.finish();
     let doc = data.to_chrome_json();
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .unwrap_or_else(|e| panic!("cannot create {}: {e}", parent.display()));
-        }
-    }
-    std::fs::write(path, doc.to_pretty())
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    write_or_exit(path, &doc.to_pretty());
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_arr)
@@ -138,18 +148,14 @@ pub fn with_replay<T>(cli: &RunOptions, f: impl FnOnce(&RunOptions) -> T) -> T {
 /// Records the kernels of `f`'s runs to a wtrace file at `path`: every
 /// kernel the runs reach the simulator with is captured (deduplicated by
 /// content) and the encoded document is written afterwards.
-pub fn record_to_file<T>(
-    path: &std::path::Path,
-    cli: &RunOptions,
-    f: impl FnOnce(&RunOptions) -> T,
-) -> T {
+pub fn record_to_file<T>(path: &Path, cli: &RunOptions, f: impl FnOnce(&RunOptions) -> T) -> T {
     let session = wtrace::WtraceSession::record();
     let out = f(&RunOptions {
         wtrace: Some(session.clone()),
         ..cli.clone()
     });
     let records = session.records();
-    wtrace::write_file(path, &records).unwrap_or_else(|e| panic!("cannot write wtrace file: {e}"));
+    write_or_exit(path, &wtrace::encode(&records).to_pretty());
     log::info(
         "wtrace",
         format_args!("wrote {} ({} kernels)", path.display(), records.len()),
@@ -157,27 +163,10 @@ pub fn record_to_file<T>(
     out
 }
 
-/// Parses the full shared command line (sampling + JSON + cache + trace
-/// flags) with [`RunOptions::from_cli`]. On a bad argument it prints the
-/// error and usage to stderr and exits with code 2 — no panic, no
-/// backtrace. Cache flags are **not** applied globally: they ride in the
-/// returned options and take effect per run.
-pub fn cli_from_args(default_sample: Option<usize>) -> RunOptions {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match RunOptions::from_cli(&args, default_sample) {
-        Ok(cli) => cli,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Prints the sampling banner all binaries share. The worker-thread count
-/// goes to **stderr**: stdout must stay byte-identical across
-/// `DUPLO_THREADS` settings (the determinism guarantee the golden tables
-/// and `scripts/ci.sh` rely on).
+/// Prints the sampling banner. The worker-thread count goes to
+/// **stderr**: stdout must stay byte-identical across `DUPLO_THREADS`
+/// settings (the determinism guarantee the golden tables and
+/// `scripts/ci.sh` rely on).
 pub fn banner(name: &str, opts: &RunOptions) {
     match opts.sample_ctas {
         Some(n) => println!("[{name}] CTA sampling: at most {n} CTAs per representative SM"),
@@ -192,29 +181,11 @@ pub fn banner(name: &str, opts: &RunOptions) {
     );
 }
 
-/// Runs `f`, reporting its wall-clock time on stderr as
-/// `[name] wall-clock: 1.234s`. Timing stays off stdout for the same
-/// reason as the thread-count banner: experiment tables must not vary
-/// with machine speed or thread count.
-pub fn timed<T>(name: &str, f: impl FnOnce() -> T) -> T {
-    timed_secs(name, f).0
-}
-
-/// Like [`timed`], but also returns the elapsed seconds so the caller can
-/// stamp them into a JSON `host` block.
-pub fn timed_secs<T>(name: &str, f: impl FnOnce() -> T) -> (T, f64) {
-    let start = std::time::Instant::now();
-    let out = f();
-    let secs = start.elapsed().as_secs_f64();
-    log::info(name, format_args!("wall-clock: {secs:.3}s"));
-    (out, secs)
-}
-
 /// Stamps host metadata (unless `DUPLO_JSON_STABLE` is set; `workers` is
 /// the thread cap `opts` resolves to) and writes the result to `path`,
 /// noting the write on stderr.
 pub fn write_result(
-    path: &std::path::Path,
+    path: &Path,
     mut result: ExperimentResult,
     wall_clock_s: f64,
     opts: &RunOptions,
@@ -223,30 +194,38 @@ pub fn write_result(
         result.wall_clock_s = Some(wall_clock_s);
         result.workers = Some(resolve_threads(opts.threads));
     }
-    result
-        .write(path)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    write_or_exit(path, &result.to_pretty());
     log::info(&result.name, format_args!("wrote {}", path.display()));
 }
 
-/// Executes one registered experiment: timed run (when `spec.timed`) under
-/// a fresh progress handle, whose cache lookups — the experiment's own —
-/// are reported on stderr and stamped into the result (unless
-/// `DUPLO_JSON_STABLE`). Returns the output, elapsed seconds and lookups.
+/// Writes `result` to `<dir>/<name>.json` when `opts` carries a
+/// `--json-dir` / `DUPLO_JSON_DIR`.
+fn write_to_json_dir(result: &ExperimentResult, wall_clock_s: f64, opts: &RunOptions) {
+    if let Some(dir) = &opts.json_dir {
+        let path = dir.join(format!("{}.json", result.name));
+        write_result(&path, result.clone(), wall_clock_s, opts);
+    }
+}
+
+/// Executes one registered experiment under a fresh progress handle,
+/// reporting its wall-clock time and its own cache lookups on stderr as
+/// `[name] wall-clock: …` and `[name] cache: hits=… misses=… bytes=…`
+/// (timing stays off stdout: tables must not vary with machine speed).
+/// The lookups are stamped into the result unless `DUPLO_JSON_STABLE`.
+/// Returns the output, elapsed seconds and lookups.
 fn execute(spec: &ExperimentSpec, opts: &RunOptions) -> (ExperimentOutput, f64, CacheStats) {
     let progress = ProgressHandle::new();
     let opts = RunOptions {
         progress: Some(progress.clone()),
         ..opts.clone()
     };
-    let (mut out, secs) = if spec.timed {
-        timed_secs(spec.tag, || (spec.run)(&opts))
-    } else {
-        ((spec.run)(&opts), 0.0)
-    };
+    let start = std::time::Instant::now();
+    let mut out = (spec.run)(&opts);
+    let secs = start.elapsed().as_secs_f64();
+    log::info(spec.name, format_args!("wall-clock: {secs:.3}s"));
     let cache = progress.snapshot().cache;
     log::info(
-        spec.tag,
+        spec.name,
         format_args!(
             "cache: hits={} misses={} bytes={}",
             cache.hits, cache.misses, cache.bytes
@@ -261,34 +240,28 @@ fn execute(spec: &ExperimentSpec, opts: &RunOptions) -> (ExperimentOutput, f64, 
 }
 
 /// Runs one registered experiment under the `duplo run` protocol:
-/// optional sampling banner, timed run, rendered table on stdout, and
-/// `--json` output. Stdout carries banners and tables only; timing and
-/// cache stats are stderr.
+/// sampling banner, timed run, rendered table on stdout, and `--json` /
+/// `--json-dir` output. Stdout carries the banner and table only; timing
+/// and cache stats are stderr.
 pub fn run_spec(spec: &ExperimentSpec, cli: &RunOptions) -> ExperimentResult {
-    if spec.banner {
-        banner(spec.tag, cli);
-    }
+    banner(spec.name, cli);
     let (out, secs, _) = execute(spec, cli);
     print!("{}", out.rendered);
     if let Some(path) = &cli.json {
         write_result(path, out.result.clone(), secs, cli);
     }
+    write_to_json_dir(&out.result, secs, cli);
     out.result
 }
 
 /// Runs the registered experiment `name` under the `duplo run`
-/// protocol ([`run_spec`]). Unknown names print the registry hint — with a
-/// nearest-name suggestion when one is close — and exit with code 2.
+/// protocol ([`run_spec`]). An unknown name prints the registry hint —
+/// with a nearest-name suggestion when one is close — and exits with
+/// code 2.
 pub fn run_named(name: &str, cli: &RunOptions) -> ExperimentResult {
-    let Some(spec) = find_experiment(name) else {
-        exit_unknown_experiment(name);
-    };
-    run_spec(spec, cli)
-}
-
-/// Prints the unknown-experiment error (with a "did you mean" suggestion
-/// when a registry name is within edit distance) and exits with code 2.
-pub fn exit_unknown_experiment(name: &str) -> ! {
+    if let Some(spec) = find_experiment(name) {
+        return run_spec(spec, cli);
+    }
     match suggest_experiment(name) {
         Some(hint) => eprintln!(
             "error: unknown experiment {name:?} (did you mean {hint:?}? see `duplo list`)"
@@ -298,33 +271,25 @@ pub fn exit_unknown_experiment(name: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Runs a batch of registered experiments under the `all_experiments`
-/// protocol: one `[all]` banner, every table on stdout in registry order,
-/// and (under `--json-dir`) one JSON file per experiment plus the
+/// Runs every registered experiment under the `duplo run all` protocol:
+/// one `[all]` banner, every table on stdout in registry order, and
+/// (under `--json-dir`) one JSON file per experiment plus the
 /// `BENCH_duplo.json` roll-up.
-///
-/// `full_registry` selects every registered experiment (`duplo run all`);
-/// otherwise only the `in_all` subset runs (the `all_experiments` binary,
-/// whose stdout is pinned by CI).
-pub fn run_all(cli: &RunOptions, full_registry: bool) {
+pub fn run_all(cli: &RunOptions) {
     banner("all", cli);
     let total = std::time::Instant::now();
     let mut cache = CacheStats::default();
-    let specs: Vec<&ExperimentSpec> = registry()
-        .iter()
-        .filter(|s| full_registry || s.in_all)
-        .collect();
-    let n_specs = specs.len();
+    let n_specs = registry().len();
     // Heartbeat after each experiment, rate-limited so a warm all-cached
     // sweep does not spam one line per experiment; the final one always
     // lands.
     let mut last_beat = std::time::Instant::now();
-    // (structured result, wall-clock seconds) per experiment, in run order.
-    let mut results: Vec<(ExperimentResult, f64)> = Vec::new();
-    for spec in specs {
+    let mut results: Vec<ExperimentResult> = Vec::new();
+    for spec in registry() {
         let (out, secs, lookups) = execute(spec, cli);
         print!("{}", out.rendered);
-        results.push((out.result, secs));
+        write_to_json_dir(&out.result, secs, cli);
+        results.push(out.result);
         cache += lookups;
         let done = results.len();
         if last_beat.elapsed().as_secs_f64() >= 1.0 || done == n_specs {
@@ -351,9 +316,7 @@ pub fn run_all(cli: &RunOptions, full_registry: bool) {
     );
 
     if let Some(dir) = &cli.json_dir {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
-        let refs: Vec<&ExperimentResult> = results.iter().map(|(r, _)| r).collect();
+        let refs: Vec<&ExperimentResult> = results.iter().collect();
         let mut roll = rollup(&refs);
         if !json_stable() {
             if let Json::Obj(fields) = &mut roll {
@@ -369,13 +332,8 @@ pub fn run_all(cli: &RunOptions, full_registry: bool) {
                 ));
             }
         }
-        for (result, secs) in results {
-            let path = dir.join(format!("{}.json", result.name));
-            write_result(&path, result, secs, cli);
-        }
         let roll_path = dir.join("BENCH_duplo.json");
-        std::fs::write(&roll_path, roll.to_pretty())
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", roll_path.display()));
+        write_or_exit(&roll_path, &roll.to_pretty());
         log::info("all", format_args!("wrote {}", roll_path.display()));
     }
 }
@@ -388,13 +346,13 @@ mod tests {
     fn trace_interval_env_values_fail_like_the_flag() {
         use duplo_sim::options::parse_trace_interval;
         let argv = |v: &str| vec!["--trace-interval".to_string(), v.to_string()];
-        let cli = RunOptions::from_cli(&argv("256"), None).unwrap();
+        let cli = RunOptions::from_cli(&argv("256")).unwrap();
         assert_eq!(cli.trace_interval, Some(256));
         for bad in ["0", "abc", "-1", ""] {
             let env_err = parse_trace_interval("DUPLO_TRACE_INTERVAL", bad).unwrap_err();
             assert!(env_err.contains("positive cycle count"), "{env_err}");
             // The flag as the `duplo` binary parses it, not the bare helper.
-            let flag_err = RunOptions::from_cli(&argv(bad), None).unwrap_err();
+            let flag_err = RunOptions::from_cli(&argv(bad)).unwrap_err();
             assert_eq!(
                 env_err.replace("DUPLO_TRACE_INTERVAL", "--trace-interval"),
                 flag_err,
@@ -419,6 +377,25 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = parse(&text).expect("file must parse");
         assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("demo"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn json_dir_receives_a_single_experiment() {
+        use duplo_sim::json::parse;
+        // fig02_speedup is analytic: it simulates nothing.
+        let dir = std::env::temp_dir().join(format!("duplo-bench-jd-{}", std::process::id()));
+        let cli = RunOptions {
+            json_dir: Some(dir.clone()),
+            ..RunOptions::default()
+        };
+        run_named("fig02_speedup", &cli);
+        let text = std::fs::read_to_string(dir.join("fig02_speedup.json")).unwrap();
+        let doc = parse(&text).expect("file must parse");
+        assert_eq!(
+            doc.get("experiment").and_then(Json::as_str),
+            Some("fig02_speedup")
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

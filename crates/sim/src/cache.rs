@@ -4,7 +4,7 @@
 //! the trace of every CTA is derived from the kernel parameters alone, and
 //! the SM model is deterministic. The paper's §V sweeps exploit none of
 //! that purity — every Fig. 9/10/12/13 sweep re-simulates the identical
-//! no-Duplo baseline per layer, and a second `all_experiments` invocation
+//! no-Duplo baseline per layer, and a second `duplo run all` invocation
 //! redoes the whole grid. This module memoizes runs behind a deterministic
 //! content digest, the same redundancy-lifting idea Duplo itself applies
 //! to tensor-core loads:

@@ -1,8 +1,9 @@
 //! Experiment drivers — one per table/figure of the paper's evaluation.
 //!
 //! Each submodule exposes a `run(...)` function returning structured rows
-//! plus a rendered [`crate::report::Table`]. The experiment binaries in
-//! `duplo-bench` print these; `EXPERIMENTS.md` records paper-vs-measured.
+//! plus a rendered [`crate::report::Table`]. The [`registry`] names them;
+//! `duplo run <name|all>` (in `duplo-bench`) prints them, and
+//! `EXPERIMENTS.md` records paper-vs-measured.
 
 pub mod ablations;
 pub mod ext_implicit;
@@ -117,41 +118,31 @@ use crate::results::ExperimentResult;
 /// Output of one registry-driven experiment run: the rendered table (for
 /// stdout and EXPERIMENTS.md) plus the structured result (for JSON).
 pub struct ExperimentOutput {
-    /// Human-facing table, exactly as the per-figure binary prints it.
+    /// Human-facing table, exactly as `duplo run` prints it.
     pub rendered: String,
     /// Machine-readable result (see [`crate::results`]).
     pub result: ExperimentResult,
 }
 
 /// One registered experiment. The registry is the single source of truth
-/// the `duplo` CLI and `all_experiments` both iterate — adding an
-/// experiment is one entry here.
+/// the `duplo` CLI, `duplo serve` and `duplo run all` iterate — adding an
+/// experiment is one entry here. How many CTAs a run samples is a run
+/// option (`RunOptions::sample_ctas`), never a property of the entry.
 pub struct ExperimentSpec {
     /// Stable machine name (matches the result's `experiment` field).
     pub name: &'static str,
     /// Human title (matches the structured result's title).
     pub title: &'static str,
-    /// Paper anchor this experiment reproduces (`Fig. 9`, `§V-H`, ...).
+    /// Paper anchor this experiment reproduces (`Fig. 9`, `§V-H`, ...) or,
+    /// for an extension, the EXPERIMENTS.md section that records it.
     pub paper_ref: &'static str,
-    /// Short tag used in banner/timing stderr lines (`fig09`, `energy`).
-    pub tag: &'static str,
-    /// Whether `duplo run` prints the sampling banner.
-    pub banner: bool,
-    /// Whether the run is timed (stderr wall-clock line); `false` only
-    /// for config dumps that simulate nothing.
-    pub timed: bool,
-    /// Default `--sample` when the command line specifies none
-    /// (`None` = full CTA shares).
-    pub default_sample: Option<usize>,
-    /// Whether `all_experiments` includes this experiment (the
-    /// EXPERIMENTS.md set; extensions and ablations are standalone-only).
-    pub in_all: bool,
     /// Runs the experiment.
     pub run: fn(&RunOptions) -> ExperimentOutput,
 }
 
-/// All registered experiments, in `all_experiments` output order (the
-/// `in_all` subset first, standalone-only extras after).
+/// All registered experiments, in `duplo run all` output order: the
+/// paper's tables and figures first, then extensions and the workload
+/// library.
 pub fn registry() -> &'static [ExperimentSpec] {
     &REGISTRY
 }
@@ -364,231 +355,126 @@ static REGISTRY: [ExperimentSpec; 21] = [
         name: "table03_config",
         title: "Table III — baseline GPU model",
         paper_ref: "Table III",
-        tag: "table03",
-        banner: false,
-        timed: false,
-        default_sample: None,
-        in_all: true,
         run: run_table03,
     },
     ExperimentSpec {
         name: "fig02_speedup",
         title: "Fig. 2 — speedup over direct convolution",
         paper_ref: "Fig. 2",
-        tag: "fig02",
-        banner: false,
-        timed: true,
-        default_sample: None,
-        in_all: true,
         run: run_fig02,
     },
     ExperimentSpec {
         name: "fig03_memusage",
         title: "Fig. 3 — memory usage relative to direct convolution",
         paper_ref: "Fig. 3",
-        tag: "fig03",
-        banner: false,
-        timed: true,
-        default_sample: None,
-        in_all: true,
         run: run_fig03,
     },
     ExperimentSpec {
         name: "table02_workflow",
         title: "Table II — Duplo workflow using the LHB",
         paper_ref: "Table II",
-        tag: "table02",
-        banner: false,
-        timed: true,
-        default_sample: None,
-        in_all: true,
         run: run_table02,
     },
     ExperimentSpec {
         name: "fig09_lhb_size",
         title: "Fig. 9 — Duplo performance improvement vs LHB size",
         paper_ref: "Fig. 9",
-        tag: "fig09",
-        banner: true,
-        timed: true,
-        default_sample: None,
-        in_all: true,
         run: run_fig09,
     },
     ExperimentSpec {
         name: "fig10_hit_rate",
         title: "Fig. 10 — LHB hit rate vs buffer size",
         paper_ref: "Fig. 10",
-        tag: "fig10",
-        banner: true,
-        timed: true,
-        default_sample: None,
-        in_all: true,
         run: run_fig10,
     },
     ExperimentSpec {
         name: "fig11_mem_breakdown",
         title: "Fig. 11 — memory service breakdown, baseline vs Duplo",
         paper_ref: "Fig. 11",
-        tag: "fig11",
-        banner: true,
-        timed: true,
-        default_sample: None,
-        in_all: true,
         run: run_fig11,
     },
     ExperimentSpec {
         name: "fig12_assoc",
         title: "Fig. 12 — set-associative LHB (1024 entries)",
         paper_ref: "Fig. 12",
-        tag: "fig12",
-        banner: true,
-        timed: true,
-        default_sample: None,
-        in_all: true,
         run: run_fig12,
     },
     ExperimentSpec {
         name: "fig13_batch",
         title: "Fig. 13 — Duplo improvement vs batch size (1024-entry LHB)",
         paper_ref: "Fig. 13",
-        tag: "fig13",
-        banner: true,
-        timed: true,
-        default_sample: Some(8),
-        in_all: true,
         run: run_fig13,
     },
     ExperimentSpec {
         name: "fig14_network",
         title: "Fig. 14 — network execution time reduction",
         paper_ref: "Fig. 14",
-        tag: "fig14",
-        banner: true,
-        timed: true,
-        default_sample: Some(8),
-        in_all: true,
         run: run_fig14,
     },
     ExperimentSpec {
         name: "sec5h_energy",
         title: "Sec. V-H — energy and area, baseline vs Duplo",
         paper_ref: "§V-H",
-        tag: "energy",
-        banner: true,
-        timed: true,
-        default_sample: None,
-        in_all: true,
         run: run_sec5h,
     },
     ExperimentSpec {
         name: "smem_policy",
         title: "Sec. II-C — shared-memory operand placement",
         paper_ref: "§II-C",
-        tag: "smem",
-        banner: true,
-        timed: true,
-        default_sample: None,
-        in_all: true,
         run: run_sec2c,
     },
     ExperimentSpec {
         name: "ablations",
         title: "Ablations — Duplo design-choice sensitivity",
         paper_ref: "§IV–V",
-        tag: "ablations",
-        banner: true,
-        timed: true,
-        default_sample: Some(8),
-        in_all: false,
         run: run_ablations,
     },
     ExperimentSpec {
         name: "ext_wir",
         title: "Ext — Duplo vs WIR-style same-address elimination",
         paper_ref: "§III",
-        tag: "ext_wir",
-        banner: true,
-        timed: true,
-        default_sample: None,
-        in_all: false,
         run: run_ext_wir,
     },
     ExperimentSpec {
         name: "ext_implicit",
         title: "Ext — Duplo on implicit GEMM (shared-memory renaming)",
         paper_ref: "§V-D",
-        tag: "ext_implicit",
-        banner: true,
-        timed: true,
-        default_sample: Some(8),
-        in_all: false,
         run: run_ext_implicit,
     },
     ExperimentSpec {
         name: workloads::attention::NAME,
         title: workloads::attention::TITLE,
-        paper_ref: "ROADMAP item 2",
-        tag: "wl_attn",
-        banner: true,
-        timed: true,
-        default_sample: Some(4),
-        in_all: false,
+        paper_ref: "Workloads",
         run: run_wl_attention,
     },
     ExperimentSpec {
         name: workloads::batched::NAME,
         title: workloads::batched::TITLE,
-        paper_ref: "ROADMAP item 2",
-        tag: "wl_batched",
-        banner: true,
-        timed: true,
-        default_sample: Some(4),
-        in_all: false,
+        paper_ref: "Workloads",
         run: run_wl_batched,
     },
     ExperimentSpec {
         name: workloads::grouped::NAME,
         title: workloads::grouped::TITLE,
-        paper_ref: "ROADMAP item 2",
-        tag: "wl_grouped",
-        banner: true,
-        timed: true,
-        default_sample: Some(4),
-        in_all: false,
+        paper_ref: "Workloads",
         run: run_wl_grouped,
     },
     ExperimentSpec {
         name: workloads::kn2row::NAME,
         title: workloads::kn2row::TITLE,
-        paper_ref: "ROADMAP item 2",
-        tag: "wl_kn2row",
-        banner: true,
-        timed: true,
-        default_sample: Some(4),
-        in_all: false,
+        paper_ref: "Workloads",
         run: run_wl_kn2row,
     },
     ExperimentSpec {
         name: workloads::membound::NAME,
         title: workloads::membound::TITLE,
-        paper_ref: "ROADMAP item 2",
-        tag: "wl_mem",
-        banner: true,
-        timed: true,
-        default_sample: Some(4),
-        in_all: false,
+        paper_ref: "Workloads",
         run: run_wl_membound,
     },
     ExperimentSpec {
         name: workloads::slice_camp::NAME,
         title: workloads::slice_camp::TITLE,
-        paper_ref: "ROADMAP item: whole-GPU memory side",
-        tag: "wl_slice",
-        banner: true,
-        timed: true,
-        default_sample: Some(4),
-        in_all: false,
+        paper_ref: "Sliced L2",
         run: run_wl_slice_camp,
     },
 ];
@@ -624,11 +510,8 @@ mod registry_tests {
     #[test]
     fn registry_covers_all_experiments_plus_extensions() {
         assert_eq!(registry().len(), 21);
-        assert_eq!(registry().iter().filter(|s| s.in_all).count(), 12);
-        // The EXPERIMENTS.md subset leads, in all_experiments print order.
+        // The paper's tables lead, in `duplo run all` print order.
         assert_eq!(registry()[0].name, "table03_config");
-        assert!(registry().iter().take(12).all(|s| s.in_all));
-        assert!(registry().iter().skip(12).all(|s| !s.in_all));
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! run-scoped trace and wtrace handles. The environment is read in one
 //! place, [`RunOptions::from_env`], at the binary edge (the `duplo` CLI and
 //! the test binaries `scripts/ci.sh` drives through `DUPLO_*` variables);
-//! [`RunOptions::from_cli`] layers the flags on top. The experiment
+//! [`RunOptions::from_cli`] layers the flags on top. CTA sampling is a run
+//! option like any other: every entry point simulates full CTA shares
+//! unless the options carry `sample_ctas` (`--sample N` on the CLI, or a
+//! `duplo serve` submission's or daemon's own choice). The experiment
 //! registry runners receive the value, and [`crate::GpuSim::with_options`]
 //! threads it down through the runner, the cache, and the SM loop. Since
 //! nothing defers to process state, runs with different settings — traced
@@ -139,13 +142,12 @@ impl RunOptions {
 
     /// Parses the shared experiment command line on top of
     /// [`RunOptions::from_env`]. Pure over `args` — no process exit, no
-    /// global state — so argument handling is unit-testable;
-    /// `default_sample` is used when neither `--sample` nor `--full` is
-    /// given. `args` excludes the binary name
-    /// (`std::env::args().skip(1)`).
-    pub fn from_cli(args: &[String], default_sample: Option<usize>) -> Result<RunOptions, String> {
+    /// global state — so argument handling is unit-testable. Sampling has
+    /// one rule: full CTA shares unless `--sample N` is given, and a later
+    /// `--full` overrides an earlier `--sample`. `args` excludes the binary
+    /// name (`std::env::args().skip(1)`).
+    pub fn from_cli(args: &[String]) -> Result<RunOptions, String> {
         let mut o = RunOptions::from_env()?;
-        o.sample_ctas = default_sample;
         let value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
             *i += 1;
             args.get(*i)
@@ -318,73 +320,70 @@ mod tests {
 
     #[test]
     fn cli_flags_override_the_defaults() {
-        let o = RunOptions::from_cli(&argv(&["--sample", "5", "--no-cache"]), Some(2)).unwrap();
+        let o = RunOptions::from_cli(&argv(&["--sample", "5", "--no-cache"])).unwrap();
         assert_eq!(o.sample_ctas, Some(5));
         assert!(o.no_cache);
-        let o = RunOptions::from_cli(&argv(&["--full", "--cache-dir", "/tmp/c"]), Some(2)).unwrap();
+        let o = RunOptions::from_cli(&argv(&["--full", "--cache-dir", "/tmp/c"])).unwrap();
         assert_eq!(o.sample_ctas, None);
         assert_eq!(o.cache_dir, Some(PathBuf::from("/tmp/c")));
-        let err = RunOptions::from_cli(&argv(&["--bogus"]), None).unwrap_err();
+        let err = RunOptions::from_cli(&argv(&["--bogus"])).unwrap_err();
         assert!(err.contains("unknown argument"), "{err}");
     }
 
     #[test]
     fn default_sample_passes_through() {
-        let cli = RunOptions::from_cli(&[], Some(4)).unwrap();
-        assert_eq!(cli.sample_ctas, Some(4));
+        // The one default is full CTA shares: no flag leaves sampling unset.
+        assert_eq!(RunOptions::from_cli(&[]).unwrap().sample_ctas, None);
     }
 
     #[test]
     fn sample_and_full_override_the_default() {
-        let cli = RunOptions::from_cli(&argv(&["--sample", "16"]), Some(4)).unwrap();
+        let cli = RunOptions::from_cli(&argv(&["--sample", "16"])).unwrap();
         assert_eq!(cli.sample_ctas, Some(16));
-        let cli = RunOptions::from_cli(&argv(&["--full"]), Some(4)).unwrap();
+        // A later `--full` takes an earlier sample back.
+        let cli = RunOptions::from_cli(&argv(&["--sample", "3", "--full"])).unwrap();
         assert_eq!(cli.sample_ctas, None);
     }
 
     #[test]
     fn sample_zero_is_rejected_with_a_clear_message() {
-        let err = RunOptions::from_cli(&argv(&["--sample", "0"]), None).unwrap_err();
+        let err = RunOptions::from_cli(&argv(&["--sample", "0"])).unwrap_err();
         assert!(err.contains("positive integer"), "{err}");
         assert!(err.contains("--full"), "should point at --full: {err}");
-        let err = RunOptions::from_cli(&argv(&["--sample", "two"]), None).unwrap_err();
+        let err = RunOptions::from_cli(&argv(&["--sample", "two"])).unwrap_err();
         assert!(err.contains("positive integer"), "{err}");
-        let err = RunOptions::from_cli(&argv(&["--sample"]), None).unwrap_err();
+        let err = RunOptions::from_cli(&argv(&["--sample"])).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
     }
 
     #[test]
     fn unknown_arguments_error_instead_of_panicking() {
-        let err = RunOptions::from_cli(&argv(&["--bogus"]), None).unwrap_err();
+        let err = RunOptions::from_cli(&argv(&["--bogus"])).unwrap_err();
         assert!(err.contains("unknown argument"), "{err}");
         assert!(err.contains("--bogus"), "{err}");
     }
 
     #[test]
     fn cache_flags_parse() {
-        let cli =
-            RunOptions::from_cli(&argv(&["--cache-dir", "/tmp/c", "--no-cache"]), None).unwrap();
+        let cli = RunOptions::from_cli(&argv(&["--cache-dir", "/tmp/c", "--no-cache"])).unwrap();
         assert_eq!(cli.cache_dir, Some(PathBuf::from("/tmp/c")));
         assert!(cli.no_cache);
-        let cli = RunOptions::from_cli(&[], None).unwrap();
+        let cli = RunOptions::from_cli(&[]).unwrap();
         assert_eq!(cli.cache_dir, None);
         assert!(!cli.no_cache);
-        let err = RunOptions::from_cli(&argv(&["--cache-dir"]), None).unwrap_err();
+        let err = RunOptions::from_cli(&argv(&["--cache-dir"])).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
     }
 
     #[test]
     fn trace_flags_parse() {
-        let cli = RunOptions::from_cli(
-            &argv(&["--trace", "/tmp/t.json", "--trace-interval", "256"]),
-            None,
-        )
-        .unwrap();
+        let args = argv(&["--trace", "/tmp/t.json", "--trace-interval", "256"]);
+        let cli = RunOptions::from_cli(&args).unwrap();
         assert_eq!(cli.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(cli.trace_interval, Some(256));
-        let err = RunOptions::from_cli(&argv(&["--trace-interval", "0"]), None).unwrap_err();
+        let err = RunOptions::from_cli(&argv(&["--trace-interval", "0"])).unwrap_err();
         assert!(err.contains("positive"), "{err}");
-        let err = RunOptions::from_cli(&argv(&["--trace"]), None).unwrap_err();
+        let err = RunOptions::from_cli(&argv(&["--trace"])).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
     }
 

@@ -108,14 +108,6 @@ impl ExperimentResult {
     pub fn to_pretty(&self) -> String {
         self.to_json().to_pretty()
     }
-
-    /// Writes the document to `path` (creating parent directories).
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_pretty())
-    }
 }
 
 /// Serializes the experiment options every driver records in `config`.

@@ -85,13 +85,11 @@ pub struct ServeOptions {
     pub max_body_bytes: usize,
     /// Baseline run options for submissions; each request overlays its
     /// `options` object on a clone of these
-    /// ([`RunOptions::merge_wire`]).
-    pub defaults: RunOptions,
-    /// Whether `defaults` carries an explicit sampling choice. When
-    /// `false`, a submission that doesn't set `sample_ctas`/`full` falls
-    /// back to the experiment's registry default — the same rule
+    /// ([`RunOptions::merge_wire`]). A submission that sets neither
+    /// `sample_ctas` nor `full` samples as these do — full CTA shares
+    /// unless the daemon was started with `--sample N`, the same rule
     /// `duplo run <name>` applies.
-    pub explicit_sample: bool,
+    pub defaults: RunOptions,
     /// Entry cap per in-memory store (results, artifacts); the least
     /// recently used entry is evicted beyond it.
     pub store_max_entries: usize,
@@ -106,7 +104,6 @@ impl Default for ServeOptions {
             workers: 4,
             max_body_bytes: 8 * 1024 * 1024,
             defaults: RunOptions::default(),
-            explicit_sample: false,
             store_max_entries: 256,
             store_max_bytes: 64 * 1024 * 1024,
         }
@@ -825,8 +822,6 @@ fn handle_experiments() -> Response {
                 .field("name", s.name)
                 .field("title", s.title)
                 .field("paper_ref", s.paper_ref)
-                .field_opt("default_sample", s.default_sample.map(|n| n as u64))
-                .field("in_all", s.in_all)
                 .build()
         })
         .collect();
@@ -905,21 +900,12 @@ fn handle_submit(state: &ServerState, body: &[u8]) -> Response {
     resp
 }
 
-/// Resolves the per-submission options: server defaults, the experiment's
-/// registry sampling default (unless the server pinned one), then the
-/// request overlay.
-fn submission_options(
-    state: &ServerState,
-    default_sample: Option<usize>,
-    wire: Option<&Json>,
-) -> Result<RunOptions, String> {
-    let mut base = state.opts.defaults.clone();
-    if !state.opts.explicit_sample {
-        base.sample_ctas = default_sample;
-    }
+/// Resolves the per-submission options: the server defaults with the
+/// request overlay on top.
+fn submission_options(state: &ServerState, wire: Option<&Json>) -> Result<RunOptions, String> {
     match wire {
-        Some(v) => base.merge_wire(v),
-        None => Ok(base),
+        Some(v) => state.opts.defaults.merge_wire(v),
+        None => Ok(state.opts.defaults.clone()),
     }
 }
 
@@ -937,7 +923,7 @@ fn submit_experiment(
         };
         return error_response(404, &msg);
     };
-    let mut opts = match submission_options(state, spec.default_sample, wire) {
+    let mut opts = match submission_options(state, wire) {
         Ok(o) => o,
         Err(msg) => return error_response(400, &msg),
     };
@@ -984,7 +970,7 @@ fn submit_wtrace(
         Ok(r) => r,
         Err(e) => return error_response(400, &format!("wtrace: {e}")),
     };
-    let mut opts = match submission_options(state, None, wire) {
+    let mut opts = match submission_options(state, wire) {
         Ok(o) => o,
         Err(msg) => return error_response(400, &msg),
     };
@@ -1438,6 +1424,43 @@ mod tests {
         for (hits, misses) in replies {
             assert_eq!((hits.as_deref(), misses.as_deref()), (Some("0"), Some("3")));
         }
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn submissions_without_options_sample_like_the_cli() {
+        // No `options` on a default daemon means what no flag means to
+        // `duplo run`: full CTA shares. The daemon resolves its defaults
+        // the way `duplo serve` does, so both sides see one environment.
+        let cli = RunOptions::from_cli(&[]).unwrap();
+        let server = Server::start(ServeOptions {
+            workers: 2,
+            defaults: cli.clone(),
+            ..ServeOptions::default()
+        })
+        .expect("bind ephemeral port");
+        let addr = addr_of(&server);
+        let reply = http_request(
+            &addr,
+            "POST",
+            "/v1/submit",
+            Some(br#"{"experiment": "wl_membound"}"#),
+        )
+        .unwrap();
+        assert_eq!(
+            reply.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&reply.body)
+        );
+        let spec = experiments::find_experiment("wl_membound").unwrap();
+        let expected = (spec.run)(&cli).result.to_pretty();
+        let body = std::str::from_utf8(&reply.body).unwrap();
+        assert_eq!(body, expected);
+        let doc = parse(body).unwrap();
+        let sample = doc.get("config").and_then(|c| c.get("sample_ctas"));
+        assert_eq!(sample, Some(&Json::Null));
         server.shutdown();
         server.join();
     }

@@ -731,19 +731,6 @@ pub fn load_file(path: &Path) -> Result<Vec<TraceKernel>, String> {
     Ok(records.into_iter().map(TraceKernel::new).collect())
 }
 
-/// Encodes `records` and writes the document to `path` (pretty JSON,
-/// byte-deterministic for a given record set).
-pub fn write_file(path: &Path, records: &[KernelRecord]) -> Result<(), String> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-        }
-    }
-    std::fs::write(path, encode(records).to_pretty())
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))
-}
-
 // ---------------------------------------------------------------------------
 // Replay kernel
 // ---------------------------------------------------------------------------

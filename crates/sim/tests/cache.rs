@@ -5,9 +5,12 @@
 //!
 //! Each test names its own disk tier (`RunOptions::cache_dir`) or none
 //! (memory only), and asserts on the `CacheStats` each lookup returns, so
-//! the tests share no counters and run in parallel.
+//! the tests share no counters and run in parallel. The one thing they
+//! share is the process-wide memory tier, which `cache::clear_memory`
+//! empties: see [`MEMORY_TIER`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{PoisonError, RwLock};
 
 use duplo_conv::ConvParams;
 use duplo_core::LhbConfig;
@@ -30,6 +33,12 @@ fn unique_cfg() -> GpuConfig {
     cfg.clock_mhz = 1_000_000 + NONCE.fetch_add(1, Ordering::Relaxed) as u64;
     cfg
 }
+
+/// Tests that empty the memory tier hold this for writing; tests whose
+/// assertions need a memory entry to survive from one lookup to the next
+/// hold it for reading. Without it a concurrent `cache::clear_memory`
+/// turns an expected memory hit into a second simulation.
+static MEMORY_TIER: RwLock<()> = RwLock::new(());
 
 /// Cache controls with the disk tier at `dir` (`None`: memory only).
 fn ctl(dir: Option<std::path::PathBuf>) -> cache::CacheCtl {
@@ -185,6 +194,7 @@ fn run_and_match_keys_are_pinned() {
 
 #[test]
 fn memory_hit_is_byte_identical_and_skips_simulation() {
+    let _tier = MEMORY_TIER.read().unwrap_or_else(PoisonError::into_inner);
     let ctl = ctl(None); // memory tier only
     let cfg = unique_cfg();
     let kernel = GemmTcKernel::new(48, 32, 16, SmemPolicy::COnly);
@@ -222,6 +232,7 @@ fn disabled_cache_reports_no_lookup() {
 
 #[test]
 fn disk_tier_round_trips_byte_identically() {
+    let _tier = MEMORY_TIER.write().unwrap_or_else(PoisonError::into_inner);
     let dir = std::env::temp_dir().join(format!("duplo-cache-disk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let ctl = ctl(Some(dir.clone()));
@@ -260,6 +271,7 @@ fn disk_tier_round_trips_byte_identically() {
 
 #[test]
 fn corrupted_disk_entry_falls_back_to_simulation_and_repairs() {
+    let _tier = MEMORY_TIER.write().unwrap_or_else(PoisonError::into_inner);
     let dir = std::env::temp_dir().join(format!("duplo-cache-corrupt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let ctl = ctl(Some(dir.clone()));
@@ -301,6 +313,7 @@ fn corrupted_disk_entry_falls_back_to_simulation_and_repairs() {
 
 #[test]
 fn single_flight_under_four_threads() {
+    let _tier = MEMORY_TIER.read().unwrap_or_else(PoisonError::into_inner);
     let ctl = ctl(None);
     prop::check(
         "cache_single_flight",

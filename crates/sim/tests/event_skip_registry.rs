@@ -11,7 +11,7 @@ use duplo_sim::experiments::{RunOptions, registry};
 
 #[test]
 #[ignore = "full registry x2 — run in release via scripts/ci.sh"]
-fn full_registry_matches_reference_loop() {
+fn every_experiment_matches_reference_loop() {
     let event = RunOptions {
         sample_ctas: Some(2),
         no_cache: true,

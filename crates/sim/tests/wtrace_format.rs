@@ -6,9 +6,7 @@
 
 use duplo_isa::{ArchReg, CtaTrace, Op, Space, WarpTrace, WorkspaceDesc};
 use duplo_sim::json::{Json, parse};
-use duplo_sim::wtrace::{
-    KernelRecord, TraceKernel, WTRACE_VERSION, decode, encode, load_file, write_file,
-};
+use duplo_sim::wtrace::{KernelRecord, TraceKernel, WTRACE_VERSION, decode, encode, load_file};
 use duplo_sim::{GpuConfig, cache};
 use duplo_testkit::{Rng, prop};
 
@@ -457,8 +455,10 @@ fn identical_traces_from_different_paths_share_one_cache_key() {
     let dir = std::env::temp_dir().join(format!("duplo-wtrace-paths-{}", std::process::id()));
     let path_a = dir.join("a/first.wtrace.json");
     let path_b = dir.join("b/second.wtrace.json");
-    write_file(&path_a, &records).unwrap();
-    write_file(&path_b, &records).unwrap();
+    for path in [&path_a, &path_b] {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, encode(&records).to_pretty()).unwrap();
+    }
     let from_a = load_file(&path_a).unwrap();
     let from_b = load_file(&path_b).unwrap();
     let cfg = GpuConfig::titan_v();
