@@ -84,11 +84,13 @@ pub fn with_trace<T>(cli: &RunOptions, f: impl FnOnce(&RunOptions) -> T) -> T {
     let Some(path) = &cli.trace else {
         return f(cli);
     };
-    let mut topts = trace::TraceOptions::default();
-    if let Some(n) = cli.trace_interval {
-        topts.interval = n;
-    }
-    let sink = trace::TraceSink::new(topts);
+    let spec = trace::TraceSpec {
+        interval: cli
+            .trace_interval
+            .unwrap_or(trace::TraceSpec::default().interval),
+        ..trace::TraceSpec::default()
+    };
+    let sink = trace::TraceSink::new(spec, trace::DEFAULT_RUN_CAP);
     let out = f(&RunOptions {
         trace_sink: Some(sink.clone()),
         ..cli.clone()

@@ -595,11 +595,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// L1 cache stats.
-    pub fn l1_stats(&self) -> crate::cache::CacheStats {
-        self.l1.stats()
-    }
-
     /// L2 cache stats (summed over slices in sliced mode).
     pub fn l2_stats(&self) -> crate::cache::CacheStats {
         match &self.backend {

@@ -13,12 +13,11 @@ use duplo_core::LhbConfig;
 use duplo_energy::{EnergyCounts, EnergyModel, EnergyReport};
 use duplo_isa::Kernel;
 use duplo_kernels::{GemmTcKernel, SmemPolicy};
-use duplo_sm::{
-    SmConfig, SmStats, SmTraceData, TraceSpec, run_kernel_mode, run_kernel_traced_mode,
-};
+use duplo_sm::{SmConfig, SmStats, SmTraceData, TraceSpec, run_kernel_traced_mode};
 
 use crate::metrics;
 use crate::options::RunOptions;
+use crate::trace::TraceSink;
 
 /// Registry metrics for the whole-GPU layer. Run and cycle counts are
 /// pure functions of the requested work (stable); the phase wall-time
@@ -250,7 +249,7 @@ impl GpuSim {
         let (result, lookup) =
             crate::cache::run_cached_ctl(&self.opts.cache_ctl(), &self.config, kernel, || {
                 simulated = true;
-                let (result, timelines) = self.simulate(kernel, sink.map(|s| s.options().spec()));
+                let (result, timelines) = self.simulate(kernel, sink.map(TraceSink::spec));
                 if let Some(sink) = sink {
                     sink.record(kernel, &self.config, &result, Some(timelines));
                 }
@@ -288,17 +287,8 @@ impl GpuSim {
             if share_len == 0 {
                 return None;
             }
-            let (stats, timeline) = match spec {
-                None => (
-                    run_kernel_mode(kernel, &ctas, cfg.sm.clone(), reference),
-                    None,
-                ),
-                Some(spec) => {
-                    let (stats, timeline) =
-                        run_kernel_traced_mode(kernel, &ctas, cfg.sm.clone(), spec, reference);
-                    (stats, Some(timeline))
-                }
-            };
+            let (stats, timeline) =
+                run_kernel_traced_mode(kernel, &ctas, cfg.sm.clone(), spec, reference);
             Some((share_len, ctas.len(), stats, timeline))
         });
         gm().simulate_us
@@ -349,7 +339,7 @@ fn fold_per_sm(per_sm: impl Iterator<Item = Option<(usize, usize, SmStats)>>) ->
         sampled_fraction = (take as f64 / share_len as f64).min(sampled_fraction);
         worst_cycles = worst_cycles.max(stats.cycles as f64 * scale);
         ctas_simulated += take;
-        accumulate(&mut agg, &stats);
+        agg.accumulate(&stats);
     }
     if !any_ran {
         sampled_fraction = 0.0;
@@ -360,79 +350,6 @@ fn fold_per_sm(per_sm: impl Iterator<Item = Option<(usize, usize, SmStats)>>) ->
         sampled_fraction,
         ctas_simulated,
     }
-}
-
-fn accumulate(agg: &mut SmStats, s: &SmStats) {
-    agg.cycles = agg.cycles.max(s.cycles);
-    agg.issued_mma += s.issued_mma;
-    agg.issued_tensor_loads += s.issued_tensor_loads;
-    agg.row_loads += s.row_loads;
-    agg.eliminated_loads += s.eliminated_loads;
-    agg.issued_other += s.issued_other;
-    agg.services.lhb += s.services.lhb;
-    agg.services.l1 += s.services.l1;
-    agg.services.l2 += s.services.l2;
-    agg.services.dram += s.services.dram;
-    agg.services.shared += s.services.shared;
-    agg.octet_dup_l1 += s.octet_dup_l1;
-    agg.stalls.empty += s.stalls.empty;
-    agg.stalls.data_dependency += s.stalls.data_dependency;
-    agg.stalls.ldst_full += s.stalls.ldst_full;
-    agg.stalls.tensor_busy += s.stalls.tensor_busy;
-    agg.stalls.barrier += s.stalls.barrier;
-    agg.ldst_pipe_stalls += s.ldst_pipe_stalls;
-    agg.rf_peak_rows = agg.rf_peak_rows.max(s.rf_peak_rows);
-    agg.rf_final_rows += s.rf_final_rows;
-    agg.detect.workspace_loads += s.detect.workspace_loads;
-    agg.detect.non_workspace_loads += s.detect.non_workspace_loads;
-    agg.detect.boundary_bypasses += s.detect.boundary_bypasses;
-    agg.detect.eliminated += s.detect.eliminated;
-    agg.lhb.hits += s.lhb.hits;
-    agg.lhb.misses += s.lhb.misses;
-    agg.lhb.conflict_evictions += s.lhb.conflict_evictions;
-    agg.lhb.retire_releases += s.lhb.retire_releases;
-    agg.lhb.store_invalidations += s.lhb.store_invalidations;
-    agg.mem.l1_hits += s.mem.l1_hits;
-    agg.mem.l1_misses += s.mem.l1_misses;
-    agg.mem.mshr_merges += s.mem.mshr_merges;
-    agg.mem.mshr_stalls += s.mem.mshr_stalls;
-    agg.mem.l2_accesses += s.mem.l2_accesses;
-    agg.mem.l2_hits += s.mem.l2_hits;
-    agg.mem.dram_accesses += s.mem.dram_accesses;
-    agg.mem.dram_bytes += s.mem.dram_bytes;
-    agg.mem.stores += s.mem.stores;
-    agg.mem.store_bytes += s.mem.store_bytes;
-    agg.mem.l2_port_requests += s.mem.l2_port_requests;
-    agg.mem.l2_queue_delay += s.mem.l2_queue_delay;
-    agg.mem.dram_requests += s.mem.dram_requests;
-    agg.mem.dram_queue_delay += s.mem.dram_queue_delay;
-    // High-water marks: the worst simulated SM, not a sum.
-    agg.mem.mshr_peak_occupancy = agg.mem.mshr_peak_occupancy.max(s.mem.mshr_peak_occupancy);
-    agg.mem.l2_peak_queue_delay = agg.mem.l2_peak_queue_delay.max(s.mem.l2_peak_queue_delay);
-    agg.mem.dram_peak_queue_delay = agg
-        .mem
-        .dram_peak_queue_delay
-        .max(s.mem.dram_peak_queue_delay);
-    agg.rename_pairs.extend_from_slice(&s.rename_pairs);
-    // Per-slice counters fold element-wise (sums for totals, max for
-    // peaks) in the fixed sm_id order the caller iterates in.
-    if agg.slices.len() < s.slices.len() {
-        agg.slices.resize(s.slices.len(), Default::default());
-    }
-    for (a, b) in agg.slices.iter_mut().zip(&s.slices) {
-        a.accesses += b.accesses;
-        a.l2_hits += b.l2_hits;
-        a.dram_accesses += b.dram_accesses;
-        a.stores += b.stores;
-        a.port_requests += b.port_requests;
-        a.port_queue_delay += b.port_queue_delay;
-        a.port_peak_queue_delay = a.port_peak_queue_delay.max(b.port_peak_queue_delay);
-        a.dram_queue_delay += b.dram_queue_delay;
-        a.noc_req_delay += b.noc_req_delay;
-        a.noc_resp_delay += b.noc_resp_delay;
-        a.mshr_peak = a.mshr_peak.max(b.mshr_peak);
-    }
-    agg.ctas_run += s.ctas_run;
 }
 
 /// Simulates the lowered GEMM of one convolutional layer (the paper's §V

@@ -26,9 +26,9 @@
 //! `X-Duplo-Request-Id` response header, in error bodies as
 //! `error.request_id`, and as the `[serve/req-xxxxxx]` tag on the
 //! daemon's `DUPLO_LOG` lines, so a failure in a storm correlates to one
-//! request. The in-memory result/artifact stores are LRU-bounded
-//! ([`ServeOptions::store_max_entries`] / `store_max_bytes`); evictions
-//! are counted in the metrics registry.
+//! request. The in-memory result/artifact stores are LRU-bounded (256
+//! entries and 64 MiB each); evictions are counted in the metrics
+//! registry.
 //!
 //! Submissions are executed through [`crate::GpuSim::with_options`], so
 //! every run-affecting knob travels by value: two in-flight requests can
@@ -74,6 +74,16 @@ const MAX_JOBS: usize = 256;
 /// Upper bound on one `/v1/progress` long-poll (`wait_ms` is clamped).
 const MAX_WAIT_MS: u64 = 30_000;
 
+/// Maximum accepted request-body size in bytes.
+const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
+
+/// Entry cap per in-memory store (results, artifacts); the least recently
+/// used entry is evicted beyond it.
+const STORE_MAX_ENTRIES: usize = 256;
+
+/// Byte cap per in-memory store; LRU eviction beyond it.
+const STORE_MAX_BYTES: usize = 64 * 1024 * 1024;
+
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
@@ -81,8 +91,6 @@ pub struct ServeOptions {
     pub addr: String,
     /// Worker threads handling connections.
     pub workers: usize,
-    /// Maximum accepted request-body size in bytes.
-    pub max_body_bytes: usize,
     /// Baseline run options for submissions; each request overlays its
     /// `options` object on a clone of these
     /// ([`RunOptions::merge_wire`]). A submission that sets neither
@@ -90,11 +98,6 @@ pub struct ServeOptions {
     /// unless the daemon was started with `--sample N`, the same rule
     /// `duplo run <name>` applies.
     pub defaults: RunOptions,
-    /// Entry cap per in-memory store (results, artifacts); the least
-    /// recently used entry is evicted beyond it.
-    pub store_max_entries: usize,
-    /// Byte cap per in-memory store; LRU eviction beyond it.
-    pub store_max_bytes: usize,
 }
 
 impl Default for ServeOptions {
@@ -102,10 +105,7 @@ impl Default for ServeOptions {
         ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            max_body_bytes: 8 * 1024 * 1024,
             defaults: RunOptions::default(),
-            store_max_entries: 256,
-            store_max_bytes: 64 * 1024 * 1024,
         }
     }
 }
@@ -331,8 +331,8 @@ struct ServerState {
     addr: SocketAddr,
     shutdown: AtomicBool,
     /// Pending accepted connections (with their accept time, for the
-    /// latency histogram), drained by the worker pool.
-    queue: Mutex<Vec<(TcpStream, Instant)>>,
+    /// latency histogram), drained oldest first by the worker pool.
+    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
     queue_cv: Condvar,
     /// Digest-addressed result bodies (`/v1/results/<digest>`).
     results: BlobStore,
@@ -359,12 +359,12 @@ impl Server {
         // already lists every family.
         let _ = sm();
         let state = Arc::new(ServerState {
-            results: BlobStore::new("results", opts.store_max_entries, opts.store_max_bytes),
-            artifacts: BlobStore::new("artifacts", opts.store_max_entries, opts.store_max_bytes),
+            results: BlobStore::new("results", STORE_MAX_ENTRIES, STORE_MAX_BYTES),
+            artifacts: BlobStore::new("artifacts", STORE_MAX_ENTRIES, STORE_MAX_BYTES),
             opts,
             addr,
             shutdown: AtomicBool::new(false),
-            queue: Mutex::new(Vec::new()),
+            queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             jobs: Mutex::new(JobsInner {
                 map: HashMap::new(),
@@ -425,7 +425,7 @@ fn listen_loop(state: &ServerState, listener: &TcpListener) {
         match conn {
             Ok(stream) => {
                 let mut q = state.queue.lock().unwrap_or_else(|e| e.into_inner());
-                q.push((stream, Instant::now()));
+                q.push_back((stream, Instant::now()));
                 sm().queue_depth.set(q.len() as i64);
                 drop(q);
                 state.queue_cv.notify_one();
@@ -442,7 +442,7 @@ fn worker_loop(state: &ServerState) {
         let stream = {
             let mut q = state.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(s) = q.pop() {
+                if let Some(s) = q.pop_front() {
                     sm().queue_depth.set(q.len() as i64);
                     break Some(s);
                 }
@@ -548,7 +548,7 @@ fn error_response(status: u16, message: &str) -> Response {
 
 /// Reads one request from the stream. Errors come back as ready-made
 /// responses so malformed input never tears the connection down silently.
-fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, Response> {
+fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
     // Head: request line + headers, up to the CRLFCRLF separator.
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
@@ -601,10 +601,12 @@ fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, Resp
                 .map_err(|_| error_response(400, &format!("invalid Content-Length: {value:?}")))?;
         }
     }
-    if content_length > max_body {
+    if content_length > MAX_BODY_BYTES {
         return Err(error_response(
             413,
-            &format!("request body of {content_length} bytes exceeds the {max_body}-byte limit"),
+            &format!(
+                "request body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            ),
         ));
     }
     let mut body = head[body_start..].to_vec();
@@ -651,7 +653,7 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream, accepted: Insta
     set_request_id(&rid);
     let m = sm();
     m.in_flight.add(1);
-    let (mut resp, route) = match read_request(&mut stream, state.opts.max_body_bytes) {
+    let (mut resp, route) = match read_request(&mut stream) {
         Ok(req) => {
             let label = route_label(&req.path);
             // A handler panic must answer the request, not kill the
@@ -931,11 +933,13 @@ fn submit_experiment(
     // counts stream out while the run is in flight.
     opts.progress = Some(progress.clone());
     opts.trace_sink = want_trace.then(|| {
-        let mut topts = trace::TraceOptions::default();
-        if let Some(n) = opts.trace_interval {
-            topts.interval = n;
-        }
-        trace::TraceSink::new(topts)
+        let spec = trace::TraceSpec {
+            interval: opts
+                .trace_interval
+                .unwrap_or(trace::TraceSpec::default().interval),
+            ..trace::TraceSpec::default()
+        };
+        trace::TraceSink::new(spec, trace::DEFAULT_RUN_CAP)
     });
     progress.set_state(JobState::Running);
     let out = (spec.run)(&opts);
@@ -1475,6 +1479,54 @@ mod tests {
         stream.read_to_end(&mut raw).unwrap();
         let text = String::from_utf8_lossy(&raw);
         assert!(text.starts_with("HTTP/1.1 400"), "{text}");
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn queued_connections_are_served_in_connect_order() {
+        let server = Server::start(ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        })
+        .expect("bind ephemeral port");
+        let addr = addr_of(&server);
+        // Hold the only worker on a request head that is not finished yet.
+        // It is the oldest connection, so a FIFO queue hands it out first
+        // whenever the worker wakes.
+        let mut holder = TcpStream::connect(&addr).unwrap();
+        holder.write_all(b"GET /v1/health HTTP/1.1\r\n").unwrap();
+        let mut queued: Vec<TcpStream> = (0..3)
+            .map(|_| {
+                let mut s = TcpStream::connect(&addr).unwrap();
+                s.write_all(b"GET /v1/health HTTP/1.1\r\n\r\n").unwrap();
+                s
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.state.queue.lock().unwrap().len() < 3 {
+            assert!(Instant::now() < deadline, "connections never queued");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        // Release the worker; it must then take the queue oldest first.
+        holder.write_all(b"\r\n").unwrap();
+        let ids: Vec<u64> = queued
+            .iter_mut()
+            .map(|s| {
+                let mut raw = Vec::new();
+                s.read_to_end(&mut raw).unwrap();
+                let text = String::from_utf8_lossy(&raw);
+                let rid = text
+                    .lines()
+                    .find_map(|l| l.strip_prefix("X-Duplo-Request-Id: req-"))
+                    .unwrap_or_else(|| panic!("no request id in {text}"));
+                u64::from_str_radix(rid.trim(), 16).unwrap()
+            })
+            .collect();
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "served out of connect order: {ids:?}"
+        );
         server.shutdown();
         server.join();
     }

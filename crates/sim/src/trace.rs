@@ -22,9 +22,9 @@
 //!
 //! Exported documents are byte-identical at any thread count:
 //!
-//! * per-SM samples are folded index-wise in `sm_id` order (sum for
-//!   counters, max for high-water marks), mirroring the order-stable stat
-//!   fold in [`crate::gpu`];
+//! * per-SM samples are folded index-wise in `sm_id` order by
+//!   [`SmSample::accumulate`], whose stats fold is the one that folds a
+//!   run's per-SM results ([`duplo_sm::SmStats::accumulate`]);
 //! * finished [`RunRecord`]s are sorted by `(kernel, key)` before export,
 //!   so the completion order of parallel experiment drivers cannot leak
 //!   into the document.
@@ -35,11 +35,12 @@
 //! Overflow increments a dropped counter that is exported in the
 //! document's `dropped` block — never silently truncated.
 
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use duplo_isa::Kernel;
-pub use duplo_sm::{CtaSpan, SmSample, SmTraceData, TraceSpec};
+pub use duplo_sm::{CtaSpan, SmGauges, SmSample, SmTraceData, TraceSpec};
 
 use crate::gpu::{GpuConfig, GpuRunResult};
 use crate::json::Json;
@@ -50,53 +51,17 @@ use crate::json::Json;
 /// lane (`pid 0`) and its `dropped.host_events` count are gone.
 pub const TRACE_FORMAT_VERSION: u64 = 3;
 
-// ---------------------------------------------------------------------------
-// Options
-// ---------------------------------------------------------------------------
-
-/// Session-wide tracing parameters.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct TraceOptions {
-    /// Cycles between interval samples (default 1024).
-    pub interval: u64,
-    /// Per-SM CTA-span cap (see [`TraceSpec::span_cap`]).
-    pub span_cap: usize,
-    /// Per-SM periodic-sample cap (see [`TraceSpec::sample_cap`]).
-    pub sample_cap: usize,
-    /// Maximum simulated-run records kept in a session.
-    pub run_cap: usize,
-}
-
-impl Default for TraceOptions {
-    fn default() -> TraceOptions {
-        let spec = TraceSpec::default();
-        TraceOptions {
-            interval: spec.interval,
-            span_cap: spec.span_cap,
-            sample_cap: spec.sample_cap,
-            run_cap: 4096,
-        }
-    }
-}
-
-impl TraceOptions {
-    /// The per-SM recording spec these options imply.
-    pub fn spec(&self) -> TraceSpec {
-        TraceSpec {
-            interval: self.interval,
-            span_cap: self.span_cap,
-            sample_cap: self.sample_cap,
-        }
-    }
-}
+/// Run records a [`TraceSink`] keeps by default before it counts further
+/// runs as dropped.
+pub const DEFAULT_RUN_CAP: usize = 4096;
 
 // ---------------------------------------------------------------------------
 // Bounded ring
 // ---------------------------------------------------------------------------
 
 /// An append-only bounded buffer that counts overflow instead of silently
-/// truncating: once `cap` items are held, further pushes increment
-/// [`Ring::dropped`] and are discarded.
+/// truncating: once `cap` items are held, further pushes are discarded
+/// and counted as dropped.
 #[derive(Clone, Debug)]
 pub struct Ring<T> {
     cap: usize,
@@ -123,16 +88,6 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Items currently held.
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Number of items discarded because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Consumes the ring into `(items, dropped)`.
     pub fn into_parts(self) -> (Vec<T>, u64) {
         (self.items, self.dropped)
@@ -157,10 +112,9 @@ pub struct RunRecord {
     pub cycles: f64,
     /// CTAs simulated.
     pub ctas_simulated: usize,
-    /// Sampling interval of `samples`.
-    pub interval: u64,
     /// Aggregated (across simulated SMs) cumulative samples; the last
-    /// entry equals the end-of-run totals.
+    /// entry's stats equal the run's folded stats apart from the rename
+    /// log.
     pub samples: Vec<SmSample>,
     /// CTA spans, tagged with the simulated SM id that ran them.
     pub cta_spans: Vec<(u64, CtaSpan)>,
@@ -173,11 +127,11 @@ pub struct RunRecord {
 /// Everything a finished session collected.
 #[derive(Clone, Debug)]
 pub struct TraceData {
-    /// The options the session ran under.
-    pub options: TraceOptions,
+    /// Cycles between samples, for every run.
+    pub interval: u64,
     /// Run records, sorted by `(kernel, key)` for deterministic export.
     pub runs: Vec<RunRecord>,
-    /// Runs dropped at [`TraceOptions::run_cap`].
+    /// Runs dropped at the sink's run cap.
     pub dropped_runs: u64,
 }
 
@@ -186,7 +140,7 @@ pub struct TraceData {
 // ---------------------------------------------------------------------------
 
 struct SinkInner {
-    opts: TraceOptions,
+    spec: TraceSpec,
     runs: Mutex<Ring<RunRecord>>,
 }
 
@@ -200,7 +154,7 @@ pub struct TraceSink(Arc<SinkInner>);
 impl fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceSink")
-            .field("options", &self.0.opts)
+            .field("spec", &self.0.spec)
             .finish()
     }
 }
@@ -212,17 +166,18 @@ impl PartialEq for TraceSink {
 }
 
 impl TraceSink {
-    /// An empty sink collecting under `opts`.
-    pub fn new(opts: TraceOptions) -> TraceSink {
+    /// An empty sink recording every SM per `spec` and keeping at most
+    /// `run_cap` run records ([`DEFAULT_RUN_CAP`] outside tests).
+    pub fn new(spec: TraceSpec, run_cap: usize) -> TraceSink {
         TraceSink(Arc::new(SinkInner {
-            opts,
-            runs: Mutex::new(Ring::new(opts.run_cap)),
+            spec,
+            runs: Mutex::new(Ring::new(run_cap)),
         }))
     }
 
-    /// The options this sink collects under.
-    pub fn options(&self) -> TraceOptions {
-        self.0.opts
+    /// The per-SM recording spec of this sink.
+    pub fn spec(&self) -> TraceSpec {
+        self.0.spec
     }
 
     fn record_run(&self, rec: RunRecord) {
@@ -244,14 +199,12 @@ impl TraceSink {
         timelines: Option<Vec<(u64, SmTraceData)>>,
     ) {
         let key = crate::digest::hex(crate::cache::run_key(cfg, kernel));
-        let interval = self.0.opts.interval;
         let mut rec = RunRecord {
             kernel: kernel.name().to_string(),
             key,
             cache_hit: timelines.is_none(),
             cycles: result.cycles,
             ctas_simulated: result.ctas_simulated,
-            interval,
             samples: Vec::new(),
             cta_spans: Vec::new(),
             dropped_samples: 0,
@@ -264,7 +217,7 @@ impl TraceSink {
             ),
             Some(timelines) => {
                 let refs: Vec<&SmTraceData> = timelines.iter().map(|(_, t)| t).collect();
-                (rec.samples, rec.dropped_samples) = aggregate_samples(&refs, interval);
+                (rec.samples, rec.dropped_samples) = aggregate_samples(&refs, self.0.spec.interval);
                 for (sm, t) in &timelines {
                     rec.dropped_spans += t.dropped_spans;
                     rec.cta_spans
@@ -288,11 +241,11 @@ impl TraceSink {
     /// Takes everything collected so far (the sink starts over empty),
     /// with the runs sorted for a deterministic export.
     pub fn finish(&self) -> TraceData {
-        let ring = std::mem::replace(
-            &mut *self.0.runs.lock().unwrap_or_else(|e| e.into_inner()),
-            Ring::new(self.0.opts.run_cap),
-        );
-        let (mut runs, dropped_runs) = ring.into_parts();
+        let (mut runs, dropped_runs) = {
+            let mut ring = self.0.runs.lock().unwrap_or_else(|e| e.into_inner());
+            let cap = ring.cap;
+            std::mem::replace(&mut *ring, Ring::new(cap)).into_parts()
+        };
         // Deterministic export order: completion order of parallel drivers
         // must not leak into the document. Repeats of one (kernel, key) have
         // identical content, so ties are harmless.
@@ -305,7 +258,7 @@ impl TraceSink {
         dropped_gauge("samples").set(dropped_samples as i64);
         dropped_gauge("cta_spans").set(dropped_spans as i64);
         TraceData {
-            options: self.0.opts,
+            interval: self.0.spec.interval,
             runs,
             dropped_runs,
         }
@@ -325,48 +278,13 @@ fn dropped_gauge(kind: &str) -> crate::metrics::Gauge {
 // Per-SM aggregation
 // ---------------------------------------------------------------------------
 
-/// Adds `s`'s fields into `agg`: counters and live gauges sum (chip-wide
-/// totals), high-water marks take the max (worst SM).
-fn add_sample(agg: &mut SmSample, s: &SmSample) {
-    agg.issued_mma += s.issued_mma;
-    agg.issued_tensor_loads += s.issued_tensor_loads;
-    agg.issued_other += s.issued_other;
-    agg.stall_empty += s.stall_empty;
-    agg.stall_data_dependency += s.stall_data_dependency;
-    agg.stall_ldst_full += s.stall_ldst_full;
-    agg.stall_tensor_busy += s.stall_tensor_busy;
-    agg.stall_barrier += s.stall_barrier;
-    agg.ldst_pipe_stalls += s.ldst_pipe_stalls;
-    agg.lhb_hits += s.lhb_hits;
-    agg.lhb_misses += s.lhb_misses;
-    agg.serv_lhb += s.serv_lhb;
-    agg.serv_l1 += s.serv_l1;
-    agg.serv_l2 += s.serv_l2;
-    agg.serv_dram += s.serv_dram;
-    agg.serv_shared += s.serv_shared;
-    agg.l1_hits += s.l1_hits;
-    agg.l1_misses += s.l1_misses;
-    agg.l2_accesses += s.l2_accesses;
-    agg.dram_accesses += s.dram_accesses;
-    agg.mshr_occupancy += s.mshr_occupancy;
-    agg.mshr_peak = agg.mshr_peak.max(s.mshr_peak);
-    agg.l2_backlog += s.l2_backlog;
-    agg.dram_backlog += s.dram_backlog;
-    agg.slice_backlog_sum += s.slice_backlog_sum;
-    // The chip-wide hot slice is the one behind the worst per-SM backlog.
-    if s.slice_backlog_max > agg.slice_backlog_max {
-        agg.slice_backlog_max = s.slice_backlog_max;
-        agg.hot_slice = s.hot_slice;
-    }
-}
-
 /// Folds per-SM timelines (in `sm_id` order) into one aggregate timeline.
 ///
 /// Periodic points are aligned index-wise — index `i` is cycle
 /// `(i + 1) * interval` on every SM still running; an SM that finished
 /// earlier contributes its frozen end-of-run sample. The aggregate closes
-/// with a final sample at the slowest SM's end cycle whose counters equal
-/// the summed end-of-run totals. Returns the timeline and the summed
+/// with a final sample at the slowest SM's end cycle, folded from the
+/// per-SM final samples the way the run's result is folded. Returns the timeline and the summed
 /// dropped-sample count.
 pub fn aggregate_samples(per_sm: &[&SmTraceData], interval: u64) -> (Vec<SmSample>, u64) {
     let periodic_len = |t: &SmTraceData| t.samples.len().saturating_sub(1);
@@ -377,25 +295,19 @@ pub fn aggregate_samples(per_sm: &[&SmTraceData], interval: u64) -> (Vec<SmSampl
             cycle: (i as u64 + 1) * interval,
             ..SmSample::default()
         };
-        for t in per_sm {
-            let s = if i < periodic_len(t) {
-                &t.samples[i]
-            } else {
-                match t.samples.last() {
-                    Some(last) => last,
-                    None => continue,
-                }
-            };
-            add_sample(&mut agg, s);
+        // Past its periodic samples, an SM holds its final one.
+        for s in per_sm
+            .iter()
+            .filter_map(|t| t.samples.get(i.min(periodic_len(t))))
+        {
+            agg.accumulate(s);
         }
         out.push(agg);
     }
     let mut fin = SmSample::default();
-    for t in per_sm {
-        if let Some(last) = t.samples.last() {
-            fin.cycle = fin.cycle.max(last.cycle);
-            add_sample(&mut fin, last);
-        }
+    for last in per_sm.iter().filter_map(|t| t.samples.last()) {
+        fin.cycle = fin.cycle.max(last.cycle);
+        fin.accumulate(last);
     }
     out.push(fin);
     let dropped = per_sm.iter().map(|t| t.dropped_samples).sum();
@@ -417,6 +329,14 @@ fn counter_event(name: &str, pid: u64, ts: u64, args: Json) -> Json {
     event_base(name, "C", pid)
         .field("ts", ts)
         .field("args", args)
+        .build()
+}
+
+/// A counter event's args: named counts.
+fn counts(fields: &[(&str, u64)]) -> Json {
+    fields
+        .iter()
+        .fold(Json::obj(), |o, &(k, v)| o.field(k, v))
         .build()
 }
 
@@ -481,126 +401,113 @@ impl TraceData {
                         .build(),
                 );
             }
-            let mut prev = SmSample::default();
+            let zero = SmSample::default();
+            let mut prev = &zero;
             for s in &run.samples {
+                let (c, p, g) = (&s.stats, &prev.stats, &s.gauges);
                 let window = s.cycle.saturating_sub(prev.cycle).max(1);
-                let issued = (s.issued_mma - prev.issued_mma)
-                    + (s.issued_tensor_loads - prev.issued_tensor_loads)
-                    + (s.issued_other - prev.issued_other);
-                let d_hits = s.lhb_hits - prev.lhb_hits;
-                let d_misses = s.lhb_misses - prev.lhb_misses;
+                let issued = c.issued_total() - p.issued_total();
+                let d_hits = c.lhb.hits - p.lhb.hits;
+                let d_misses = c.lhb.misses - p.lhb.misses;
                 let probes = d_hits + d_misses;
                 let hit_rate = if probes == 0 {
                     0.0
                 } else {
                     d_hits as f64 / probes as f64
                 };
-                events.push(counter_event(
-                    "ipc",
-                    pid,
-                    s.cycle,
-                    Json::obj()
-                        .field("ipc", issued as f64 / window as f64)
-                        .build(),
-                ));
-                events.push(counter_event(
-                    "issue",
-                    pid,
-                    s.cycle,
-                    Json::obj()
-                        .field("mma", s.issued_mma - prev.issued_mma)
-                        .field(
-                            "tensor_loads",
-                            s.issued_tensor_loads - prev.issued_tensor_loads,
-                        )
-                        .field("other", s.issued_other - prev.issued_other)
-                        .build(),
-                ));
-                events.push(counter_event(
-                    "stalls",
-                    pid,
-                    s.cycle,
-                    Json::obj()
-                        .field("empty", s.stall_empty - prev.stall_empty)
-                        .field(
-                            "data_dependency",
-                            s.stall_data_dependency - prev.stall_data_dependency,
-                        )
-                        .field("ldst_full", s.stall_ldst_full - prev.stall_ldst_full)
-                        .field("tensor_busy", s.stall_tensor_busy - prev.stall_tensor_busy)
-                        .field("barrier", s.stall_barrier - prev.stall_barrier)
-                        .field("ldst_pipe", s.ldst_pipe_stalls - prev.ldst_pipe_stalls)
-                        .build(),
-                ));
-                events.push(counter_event(
-                    "lhb",
-                    pid,
-                    s.cycle,
-                    Json::obj()
-                        .field("hits", d_hits)
-                        .field("misses", d_misses)
-                        .field("hit_rate", hit_rate)
-                        .build(),
-                ));
-                events.push(counter_event(
-                    "services",
-                    pid,
-                    s.cycle,
-                    Json::obj()
-                        .field("lhb", s.serv_lhb - prev.serv_lhb)
-                        .field("l1", s.serv_l1 - prev.serv_l1)
-                        .field("l2", s.serv_l2 - prev.serv_l2)
-                        .field("dram", s.serv_dram - prev.serv_dram)
-                        .field("shared", s.serv_shared - prev.serv_shared)
-                        .build(),
-                ));
-                events.push(counter_event(
-                    "mem",
-                    pid,
-                    s.cycle,
-                    Json::obj()
-                        .field("l1_hits", s.l1_hits - prev.l1_hits)
-                        .field("l1_misses", s.l1_misses - prev.l1_misses)
-                        .field("l2_accesses", s.l2_accesses - prev.l2_accesses)
-                        .field("dram_accesses", s.dram_accesses - prev.dram_accesses)
-                        .build(),
-                ));
-                events.push(counter_event(
-                    "mshr",
-                    pid,
-                    s.cycle,
-                    Json::obj()
-                        .field("occupancy", s.mshr_occupancy)
-                        .field("peak", s.mshr_peak)
-                        .build(),
-                ));
-                events.push(counter_event(
-                    "queues",
-                    pid,
-                    s.cycle,
-                    Json::obj()
-                        .field("l2_backlog", s.l2_backlog)
-                        .field("dram_backlog", s.dram_backlog)
-                        .build(),
-                ));
-                events.push(counter_event(
-                    "slices",
-                    pid,
-                    s.cycle,
-                    Json::obj()
-                        .field("backlog_max", s.slice_backlog_max)
-                        .field("backlog_sum", s.slice_backlog_sum)
-                        .field("hot_slice", s.hot_slice)
-                        .build(),
-                ));
-                prev = *s;
+                let (cs, ps) = (&c.stalls, &p.stalls);
+                let (cv, pv) = (&c.services, &p.services);
+                let (cm, pm) = (&c.mem, &p.mem);
+                let tracks = [
+                    (
+                        "ipc",
+                        Json::obj()
+                            .field("ipc", issued as f64 / window as f64)
+                            .build(),
+                    ),
+                    (
+                        "issue",
+                        counts(&[
+                            ("mma", c.issued_mma - p.issued_mma),
+                            (
+                                "tensor_loads",
+                                c.issued_tensor_loads - p.issued_tensor_loads,
+                            ),
+                            ("other", c.issued_other - p.issued_other),
+                        ]),
+                    ),
+                    (
+                        "stalls",
+                        counts(&[
+                            ("empty", cs.empty - ps.empty),
+                            ("data_dependency", cs.data_dependency - ps.data_dependency),
+                            ("ldst_full", cs.ldst_full - ps.ldst_full),
+                            ("tensor_busy", cs.tensor_busy - ps.tensor_busy),
+                            ("barrier", cs.barrier - ps.barrier),
+                            ("ldst_pipe", c.ldst_pipe_stalls - p.ldst_pipe_stalls),
+                        ]),
+                    ),
+                    (
+                        "lhb",
+                        Json::obj()
+                            .field("hits", d_hits)
+                            .field("misses", d_misses)
+                            .field("hit_rate", hit_rate)
+                            .build(),
+                    ),
+                    (
+                        "services",
+                        counts(&[
+                            ("lhb", cv.lhb - pv.lhb),
+                            ("l1", cv.l1 - pv.l1),
+                            ("l2", cv.l2 - pv.l2),
+                            ("dram", cv.dram - pv.dram),
+                            ("shared", cv.shared - pv.shared),
+                        ]),
+                    ),
+                    (
+                        "mem",
+                        counts(&[
+                            ("l1_hits", cm.l1_hits - pm.l1_hits),
+                            ("l1_misses", cm.l1_misses - pm.l1_misses),
+                            ("l2_accesses", cm.l2_accesses - pm.l2_accesses),
+                            ("dram_accesses", cm.dram_accesses - pm.dram_accesses),
+                        ]),
+                    ),
+                    (
+                        "mshr",
+                        counts(&[
+                            ("occupancy", g.mshr_occupancy),
+                            ("peak", cm.mshr_peak_occupancy),
+                        ]),
+                    ),
+                    (
+                        "queues",
+                        Json::obj()
+                            .field("l2_backlog", g.l2_backlog)
+                            .field("dram_backlog", g.dram_backlog)
+                            .build(),
+                    ),
+                    (
+                        "slices",
+                        Json::obj()
+                            .field("backlog_max", g.slice_backlog_max)
+                            .field("backlog_sum", g.slice_backlog_sum)
+                            .field("hot_slice", g.hot_slice)
+                            .build(),
+                    ),
+                ];
+                for (name, args) in tracks {
+                    events.push(counter_event(name, pid, s.cycle, args));
+                }
+                prev = s;
             }
         }
         Json::obj()
             .field("schema_version", crate::results::SCHEMA_VERSION)
             .field("kind", "duplo_trace")
             .field("trace_version", TRACE_FORMAT_VERSION)
-            .field("interval", self.options.interval)
+            .field("interval", self.interval)
             .field(
                 "dropped",
                 Json::obj()
@@ -632,6 +539,17 @@ struct Window {
     serv_dram: u64,
     mshr_peak: u64,
     dram_backlog: f64,
+}
+
+/// The events of one pid that the phase table reads.
+#[derive(Default)]
+struct RunEvents<'a> {
+    /// The `process_name` metadata.
+    name: Option<String>,
+    /// The kernel span, whose args carry the run's totals.
+    kernel: Option<&'a Json>,
+    /// Sample windows keyed by their end timestamp.
+    windows: BTreeMap<u64, Window>,
 }
 
 fn merge_windows(ws: &[Window]) -> Window {
@@ -669,19 +587,19 @@ pub fn summarize_chrome(doc: &Json, max_phases: usize) -> Result<String, String>
     let interval = doc.get("interval").and_then(Json::as_u64).unwrap_or(0);
     let max_phases = max_phases.max(1);
 
-    // pid -> (name, kernel-span args, windows keyed by ts).
-    let mut pids: Vec<u64> = Vec::new();
-    let mut names: std::collections::HashMap<u64, String> = std::collections::HashMap::new();
-    let mut kernels: std::collections::HashMap<u64, Json> = std::collections::HashMap::new();
-    let mut windows: std::collections::HashMap<u64, Vec<(u64, Window)>> =
-        std::collections::HashMap::new();
+    // One entry per pid, in first-appearance order: its name, its kernel
+    // span, and its windows keyed by end timestamp.
+    let mut runs: Vec<(u64, RunEvents)> = Vec::new();
+    let mut run_index: HashMap<u64, usize> = HashMap::new();
     for ev in events {
         let Some(pid) = ev.get("pid").and_then(Json::as_u64) else {
             continue;
         };
-        if !pids.contains(&pid) {
-            pids.push(pid);
-        }
+        let idx = *run_index.entry(pid).or_insert_with(|| {
+            runs.push((pid, RunEvents::default()));
+            runs.len() - 1
+        });
+        let run = &mut runs[idx].1;
         let ph = ev.get("ph").and_then(Json::as_str).unwrap_or("");
         let name = ev.get("name").and_then(Json::as_str).unwrap_or("");
         match ph {
@@ -691,24 +609,17 @@ pub fn summarize_chrome(doc: &Json, max_phases: usize) -> Result<String, String>
                     .and_then(|a| a.get("name"))
                     .and_then(Json::as_str)
                 {
-                    names.insert(pid, n.to_string());
+                    run.name = Some(n.to_string());
                 }
             }
             "X" if ev.get("cat").and_then(Json::as_str) == Some("kernel") => {
-                kernels.insert(pid, ev.clone());
+                run.kernel = Some(ev);
             }
             "C" => {
                 let Some(ts) = ev.get("ts").and_then(Json::as_u64) else {
                     continue;
                 };
-                let rows = windows.entry(pid).or_default();
-                let w = match rows.iter_mut().find(|(t, _)| *t == ts) {
-                    Some((_, w)) => w,
-                    None => {
-                        rows.push((ts, Window::default()));
-                        &mut rows.last_mut().expect("just pushed").1
-                    }
-                };
+                let w = run.windows.entry(ts).or_default();
                 w.end = ts;
                 let args = ev.get("args");
                 let au = |k: &str| args.and_then(|a| a.get(k)).and_then(Json::as_u64);
@@ -756,7 +667,7 @@ pub fn summarize_chrome(doc: &Json, max_phases: usize) -> Result<String, String>
     };
     out.push_str(&format!(
         "trace: {} run(s), interval {} cycles\n",
-        pids.len(),
+        runs.len(),
         interval
     ));
     let total_dropped = dget("runs") + dget("samples") + dget("cta_spans");
@@ -771,12 +682,11 @@ pub fn summarize_chrome(doc: &Json, max_phases: usize) -> Result<String, String>
             dget("cta_spans")
         ));
     }
-    for &pid in &pids {
-        let unknown = format!("pid {pid}");
-        let name = names.get(&pid).cloned().unwrap_or(unknown);
+    for (pid, run) in runs {
+        let name = run.name.unwrap_or_else(|| format!("pid {pid}"));
         out.push('\n');
         out.push_str(&format!("run {name}\n"));
-        if let Some(k) = kernels.get(&pid) {
+        if let Some(k) = run.kernel {
             let args = k.get("args");
             let cycles = args
                 .and_then(|a| a.get("cycles"))
@@ -791,16 +701,14 @@ pub fn summarize_chrome(doc: &Json, max_phases: usize) -> Result<String, String>
                 "  cycles={cycles}  ctas={ctas}  cache_hit={hit}\n"
             ));
         }
-        let mut rows = windows.remove(&pid).unwrap_or_default();
-        rows.sort_by_key(|&(ts, _)| ts);
-        if rows.is_empty() {
+        if run.windows.is_empty() {
             out.push_str("  (no timeline: served from cache)\n");
             continue;
         }
         // Windows carry their end ts; the start is the previous end.
-        let mut ws: Vec<Window> = Vec::with_capacity(rows.len());
+        let mut ws: Vec<Window> = Vec::with_capacity(run.windows.len());
         let mut prev_end = 0u64;
-        for (_, mut w) in rows {
+        for mut w in run.windows.into_values() {
             w.start = prev_end;
             prev_end = w.end;
             ws.push(w);
@@ -839,6 +747,9 @@ pub fn summarize_chrome(doc: &Json, max_phases: usize) -> Result<String, String>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use duplo_core::LhbStats;
+    use duplo_mem::MemStats;
+    use duplo_sm::SmStats;
 
     #[test]
     fn ring_counts_drops_instead_of_truncating_silently() {
@@ -846,10 +757,8 @@ mod tests {
         for i in 0..10 {
             r.push(i);
         }
-        assert_eq!(r.items(), &[0, 1, 2]);
-        assert_eq!(r.dropped(), 7);
         let (items, dropped) = r.into_parts();
-        assert_eq!(items.len(), 3);
+        assert_eq!(items, [0, 1, 2]);
         assert_eq!(dropped, 7);
     }
 
@@ -860,17 +769,21 @@ mod tests {
         // periodic points and close on the sum of finals.
         let mk = |cycle, other, peak| SmSample {
             cycle,
-            issued_other: other,
-            mshr_peak: peak,
+            stats: SmStats {
+                issued_other: other,
+                mem: MemStats {
+                    mshr_peak_occupancy: peak,
+                    ..MemStats::default()
+                },
+                ..SmStats::default()
+            },
             ..SmSample::default()
         };
         let sm0 = SmTraceData {
-            interval: 10,
             samples: vec![mk(10, 5, 2), mk(20, 9, 3), mk(25, 11, 3)],
             ..SmTraceData::default()
         };
         let sm1 = SmTraceData {
-            interval: 10,
             samples: vec![mk(7, 4, 5)],
             ..SmTraceData::default()
         };
@@ -878,28 +791,27 @@ mod tests {
         assert_eq!(dropped, 0);
         assert_eq!(agg.len(), 3); // two periodic points + final
         assert_eq!(agg[0].cycle, 10);
-        assert_eq!(agg[0].issued_other, 5 + 4);
+        assert_eq!(agg[0].stats.issued_other, 5 + 4);
         assert_eq!(agg[1].cycle, 20);
-        assert_eq!(agg[1].issued_other, 9 + 4);
+        assert_eq!(agg[1].stats.issued_other, 9 + 4);
         let fin = agg.last().unwrap();
         assert_eq!(fin.cycle, 25);
-        assert_eq!(fin.issued_other, 11 + 4);
-        assert_eq!(fin.mshr_peak, 5, "high-water marks fold with max");
+        assert_eq!(fin.stats.issued_other, 11 + 4);
+        assert_eq!(
+            fin.stats.mem.mshr_peak_occupancy, 5,
+            "high-water marks fold with max"
+        );
     }
 
     #[test]
     fn capture_finish_roundtrip_with_sorting() {
-        let sink = TraceSink::new(TraceOptions {
-            run_cap: 2,
-            ..TraceOptions::default()
-        });
+        let sink = TraceSink::new(TraceSpec::default(), 2);
         let rec = |kernel: &str, key: &str| RunRecord {
             kernel: kernel.to_string(),
             key: key.to_string(),
             cache_hit: false,
             cycles: 1.0,
             ctas_simulated: 1,
-            interval: 1024,
             samples: vec![],
             cta_spans: vec![],
             dropped_samples: 0,
@@ -920,20 +832,25 @@ mod tests {
     fn chrome_export_is_valid_and_summarizable() {
         let mk = |cycle, other, hits, misses| SmSample {
             cycle,
-            issued_other: other,
-            lhb_hits: hits,
-            lhb_misses: misses,
+            stats: SmStats {
+                issued_other: other,
+                lhb: LhbStats {
+                    hits,
+                    misses,
+                    ..LhbStats::default()
+                },
+                ..SmStats::default()
+            },
             ..SmSample::default()
         };
         let data = TraceData {
-            options: TraceOptions::default(),
+            interval: 1024,
             runs: vec![RunRecord {
                 kernel: "k".to_string(),
                 key: "deadbeef".to_string(),
                 cache_hit: false,
                 cycles: 2048.0,
                 ctas_simulated: 2,
-                interval: 1024,
                 samples: vec![mk(1024, 100, 30, 10), mk(2048, 250, 80, 20)],
                 cta_spans: vec![(
                     0,
@@ -969,7 +886,7 @@ mod tests {
     #[test]
     fn summarize_warns_loudly_about_dropped_events() {
         let data = TraceData {
-            options: TraceOptions::default(),
+            interval: 1024,
             runs: vec![],
             dropped_runs: 3,
         };

@@ -9,12 +9,17 @@
 //! DUPLO_BLESS=1 cargo test -p duplo-sim --test golden
 //! ```
 
+use duplo_core::LhbConfig;
+use duplo_kernels::{GemmTcKernel, SmemPolicy, StreamKernel};
+use duplo_mem::HashKind;
 use duplo_sim::experiments::workloads;
 use duplo_sim::experiments::{
     RunOptions, fig02_speedup, fig10_hit_rate, size_configs, sweep_layers,
 };
 use duplo_sim::networks::all_layers;
 use duplo_sim::report::{Table, fmt_pct, fmt_x, gmean};
+use duplo_sim::trace::{DEFAULT_RUN_CAP, TraceSink, TraceSpec, summarize_chrome};
+use duplo_sim::{GpuConfig, GpuSim};
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -160,4 +165,51 @@ fn workload_membound_golden_and_unity_speedup() {
         );
     }
     assert_golden("wl_membound_quick.txt", &workloads::membound::render(&rows));
+}
+
+/// Pin the exported Chrome trace document byte for byte, plus the phase
+/// table `duplo trace summarize` renders from it. Two simulated SMs with
+/// one CTA each, so the cross-SM sample fold is in the document: a flat-L2
+/// run of a strided stream, and a Duplo run of the smallest unit-stride
+/// Table I layer on 4 L2 slices (XOR hash), whose hot slice moves.
+/// Uncached, so every record carries its timeline.
+#[test]
+fn trace_export_golden() {
+    let sink = TraceSink::new(
+        TraceSpec {
+            interval: 4096,
+            ..TraceSpec::default()
+        },
+        DEFAULT_RUN_CAP,
+    );
+    let opts = RunOptions {
+        sample_ctas: Some(1),
+        no_cache: true,
+        trace_sink: Some(sink.clone()),
+        ..RunOptions::default()
+    };
+    let layer = all_layers()
+        .into_iter()
+        .filter(|l| l.lowered().stride == 1)
+        .min_by_key(|l| {
+            let (m, n, k) = l.lowered().gemm_dims();
+            (m * n * k, l.qualified_name())
+        })
+        .expect("catalog is non-empty");
+    let mut gpu = opts.apply(GpuConfig::titan_v());
+    gpu.sms_simulated = 2;
+    GpuSim::with_options(gpu.clone(), opts.clone()).run(&StreamKernel::strided(16, 4, 32, 4));
+    let mut sliced = gpu;
+    sliced.sm.lhb = Some(LhbConfig::paper_default());
+    sliced.sm.hierarchy = sliced.sm.hierarchy.sliced(4, HashKind::XorFold);
+    GpuSim::with_options(sliced, opts.clone()).run(&GemmTcKernel::from_conv(
+        &layer.lowered(),
+        SmemPolicy::COnly,
+    ));
+    let doc = sink.finish().to_chrome_json();
+    assert_golden("trace_export.json", &doc.to_pretty());
+    assert_golden(
+        "trace_summary.txt",
+        &summarize_chrome(&doc, 16).expect("a duplo trace"),
+    );
 }

@@ -5,7 +5,8 @@
 //!   `DUPLO_THREADS`),
 //! * the aggregated timeline is consistent with the end-of-run
 //!   `run_metrics` totals — summing per-window deltas telescopes to
-//!   exactly the folded stats,
+//!   exactly the folded stats, and the last sample's stats are the
+//!   run's folded stats,
 //! * every capped buffer reports drops instead of silently truncating,
 //! * tracing does not perturb simulation results, and cache hits are
 //!   recorded as timeline-less records.
@@ -18,7 +19,7 @@ use duplo_conv::ConvParams;
 use duplo_core::LhbConfig;
 use duplo_kernels::{GemmTcKernel, SmemPolicy};
 use duplo_sim::json::Json;
-use duplo_sim::trace::{TraceOptions, TraceSink};
+use duplo_sim::trace::{DEFAULT_RUN_CAP, SmSample, TraceSink, TraceSpec};
 use duplo_sim::{GpuConfig, GpuSim, RunOptions};
 use duplo_tensor::Nhwc;
 
@@ -42,11 +43,19 @@ fn opts(threads: usize, sink: Option<&TraceSink>) -> RunOptions {
     }
 }
 
+/// A sink sampling every `interval` cycles under the default caps.
+fn sink_every(interval: u64) -> TraceSink {
+    TraceSink::new(
+        TraceSpec {
+            interval,
+            ..TraceSpec::default()
+        },
+        DEFAULT_RUN_CAP,
+    )
+}
+
 fn traced_export(threads: usize, interval: u64) -> String {
-    let sink = TraceSink::new(TraceOptions {
-        interval,
-        ..TraceOptions::default()
-    });
+    let sink = sink_every(interval);
     let (kernel, cfg) = kernel_and_cfg();
     GpuSim::with_options(cfg, opts(threads, Some(&sink))).run(&kernel);
     sink.finish().to_chrome_json().to_pretty()
@@ -64,10 +73,7 @@ fn trace_export_identical_at_one_and_many_threads() {
 
 #[test]
 fn interval_deltas_sum_to_run_metrics_totals() {
-    let sink = TraceSink::new(TraceOptions {
-        interval: 128,
-        ..TraceOptions::default()
-    });
+    let sink = sink_every(128);
     let (kernel, cfg) = kernel_and_cfg();
     let result = GpuSim::with_options(cfg, opts(2, Some(&sink))).run(&kernel);
     let data = sink.finish();
@@ -79,7 +85,8 @@ fn interval_deltas_sum_to_run_metrics_totals() {
     // Sum the per-window deltas the way a timeline consumer would; with
     // cumulative samples this telescopes to the final snapshot, which
     // must equal the folded run stats that run_metrics exports.
-    let mut prev = duplo_sim::trace::SmSample::default();
+    let zero = SmSample::default();
+    let mut prev = &zero;
     let mut issued = 0u64;
     let mut sched_stalls = 0u64;
     let mut serv_l1 = 0u64;
@@ -87,19 +94,14 @@ fn interval_deltas_sum_to_run_metrics_totals() {
     let mut lhb_hits = 0u64;
     let mut l1_misses = 0u64;
     for s in &run.samples {
-        issued += (s.issued_mma - prev.issued_mma)
-            + (s.issued_tensor_loads - prev.issued_tensor_loads)
-            + (s.issued_other - prev.issued_other);
-        sched_stalls += (s.stall_empty - prev.stall_empty)
-            + (s.stall_data_dependency - prev.stall_data_dependency)
-            + (s.stall_ldst_full - prev.stall_ldst_full)
-            + (s.stall_tensor_busy - prev.stall_tensor_busy)
-            + (s.stall_barrier - prev.stall_barrier);
-        serv_l1 += s.serv_l1 - prev.serv_l1;
-        serv_dram += s.serv_dram - prev.serv_dram;
-        lhb_hits += s.lhb_hits - prev.lhb_hits;
-        l1_misses += s.l1_misses - prev.l1_misses;
-        prev = *s;
+        let (c, p) = (&s.stats, &prev.stats);
+        issued += c.issued_total() - p.issued_total();
+        sched_stalls += c.stalls.total() - p.stalls.total();
+        serv_l1 += c.services.l1 - p.services.l1;
+        serv_dram += c.services.dram - p.services.dram;
+        lhb_hits += c.lhb.hits - p.lhb.hits;
+        l1_misses += c.mem.l1_misses - p.mem.l1_misses;
+        prev = s;
     }
     let m = duplo_sim::results::run_metrics(&result);
     let get_u = |path: [&str; 2]| {
@@ -115,20 +117,29 @@ fn interval_deltas_sum_to_run_metrics_totals() {
     assert_eq!(lhb_hits, get_u(["lhb", "hits"]));
     assert_eq!(l1_misses, get_u(["cache", "l1_misses"]));
     assert!(lhb_hits > 0, "duplo run must hit the LHB");
-    // High-water marks fold with max, and the final sample carries them.
+    // The last sample is a snapshot of the whole run, folded across SMs
+    // by the run's own fold: it equals the run's stats, high-water marks
+    // included, except for the rename log, which samples do not copy.
     let last = run.samples.last().unwrap();
-    assert_eq!(last.mshr_peak, get_u(["mshr", "peak_occupancy"]));
+    assert_eq!(
+        last.stats.mem.mshr_peak_occupancy,
+        get_u(["mshr", "peak_occupancy"])
+    );
+    let mut folded = result.stats.clone();
+    folded.rename_pairs.clear();
+    assert_eq!(last.stats, folded);
 }
 
 #[test]
 fn capped_buffers_report_drops() {
-    let sink = TraceSink::new(TraceOptions {
-        interval: 64,
-        sample_cap: 2,
-        span_cap: 1,
-        run_cap: 1,
-        ..TraceOptions::default()
-    });
+    let sink = TraceSink::new(
+        TraceSpec {
+            interval: 64,
+            sample_cap: 2,
+            span_cap: 1,
+        },
+        1,
+    );
     let (kernel, cfg) = kernel_and_cfg();
     let sim = GpuSim::with_options(cfg, opts(1, Some(&sink)));
     sim.run(&kernel);
@@ -156,7 +167,7 @@ fn capped_buffers_report_drops() {
 fn tracing_does_not_perturb_results() {
     let (kernel, cfg) = kernel_and_cfg();
     let plain = GpuSim::with_options(cfg.clone(), opts(2, None)).run(&kernel);
-    let sink = TraceSink::new(TraceOptions::default());
+    let sink = TraceSink::new(TraceSpec::default(), DEFAULT_RUN_CAP);
     let traced = GpuSim::with_options(cfg, opts(2, Some(&sink))).run(&kernel);
     assert_eq!(sink.finish().runs.len(), 1);
     assert_eq!(
@@ -172,7 +183,7 @@ fn cache_hits_are_recorded_without_timeline() {
     // be served from cache and still appear in the trace as a
     // timeline-less record. The other tests here run uncached, so they
     // never publish this key.
-    let sink = TraceSink::new(TraceOptions::default());
+    let sink = TraceSink::new(TraceSpec::default(), DEFAULT_RUN_CAP);
     let (kernel, cfg) = kernel_and_cfg();
     let sim = GpuSim::with_options(
         cfg,

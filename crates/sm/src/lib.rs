@@ -33,7 +33,7 @@ pub use config::{SchedulerPolicy, SmConfig};
 pub use duplo_mem::SliceStat;
 pub use sm::{LoopProfile, Sm, loop_profile, run_kernel, run_kernel_mode, run_kernel_traced_mode};
 pub use stats::{ServiceCounts, SmStats, StallBreakdown};
-pub use trace::{CtaSpan, SmSample, SmTraceData, TraceSpec};
+pub use trace::{CtaSpan, SmGauges, SmSample, SmTraceData, TraceSpec};
 
 // `run_kernel` calls are fanned out across threads by the whole-GPU
 // simulator: its inputs must be sendable and its result collectable from a

@@ -36,7 +36,7 @@ use crate::config::{SchedulerPolicy, SmConfig};
 use crate::ldst::{Inflight, LdstUnit, MemKind};
 use crate::regfile::PhysRegFile;
 use crate::stats::{SmStats, StallBreakdown};
-use crate::trace::{SmSample, SmTraceData, SmTracer, TraceSpec};
+use crate::trace::{SmGauges, SmSample, SmTraceData, SmTracer, TraceSpec};
 use crate::warp::WarpCtx;
 use duplo_core::{DetectionUnit, LoadDecision, LoadToken, PhysReg};
 use duplo_isa::{ArchReg, Kernel, Op, Space};
@@ -516,48 +516,42 @@ impl Sm {
         }
     }
 
-    /// Snapshots the SM's cumulative counters and live memory gauges.
+    /// Snapshots the run so far: its statistics, completed as
+    /// [`Sm::into_stats_and_trace`] completes the final ones (the rename
+    /// log is not copied), and the live memory gauges.
     fn sample_now(&mut self) -> SmSample {
-        let mem = self.hierarchy.stats();
+        let rename_pairs = std::mem::take(&mut self.stats.rename_pairs);
+        let mut stats = self.stats.clone();
+        self.stats.rename_pairs = rename_pairs;
+        self.complete_stats(&mut stats);
         let (slice_backlog_max, slice_backlog_sum, hot_slice) =
             self.hierarchy.slice_backlogs(self.cycle);
-        let (lhb_hits, lhb_misses) = match &self.detect {
-            Some(du) => {
-                let l = du.lhb_stats();
-                (l.hits, l.misses)
-            }
-            None => (0, 0),
-        };
         SmSample {
             cycle: self.cycle,
-            issued_mma: self.stats.issued_mma,
-            issued_tensor_loads: self.stats.issued_tensor_loads,
-            issued_other: self.stats.issued_other,
-            stall_empty: self.stats.stalls.empty,
-            stall_data_dependency: self.stats.stalls.data_dependency,
-            stall_ldst_full: self.stats.stalls.ldst_full,
-            stall_tensor_busy: self.stats.stalls.tensor_busy,
-            stall_barrier: self.stats.stalls.barrier,
-            ldst_pipe_stalls: self.stats.ldst_pipe_stalls,
-            lhb_hits,
-            lhb_misses,
-            serv_lhb: self.stats.services.lhb,
-            serv_l1: self.stats.services.l1,
-            serv_l2: self.stats.services.l2,
-            serv_dram: self.stats.services.dram,
-            serv_shared: self.stats.services.shared,
-            l1_hits: mem.l1_hits,
-            l1_misses: mem.l1_misses,
-            l2_accesses: mem.l2_accesses,
-            dram_accesses: mem.dram_accesses,
-            mshr_occupancy: self.hierarchy.mshr_occupancy(self.cycle) as u64,
-            mshr_peak: mem.mshr_peak_occupancy,
-            l2_backlog: self.hierarchy.l2_port_backlog(self.cycle),
-            dram_backlog: self.hierarchy.dram_backlog(self.cycle),
-            slice_backlog_max,
-            slice_backlog_sum,
-            hot_slice: hot_slice as u64,
+            stats,
+            gauges: SmGauges {
+                mshr_occupancy: self.hierarchy.mshr_occupancy(self.cycle) as u64,
+                l2_backlog: self.hierarchy.l2_port_backlog(self.cycle),
+                dram_backlog: self.hierarchy.dram_backlog(self.cycle),
+                slice_backlog_max,
+                slice_backlog_sum,
+                hot_slice: hot_slice as u64,
+            },
         }
+    }
+
+    /// Fills in the statistics kept outside `self.stats`: the cycle count,
+    /// the register-file peak, and the detection-unit, LHB and memory-side
+    /// counters.
+    fn complete_stats(&self, stats: &mut SmStats) {
+        stats.cycles = self.cycle;
+        stats.rf_peak_rows = self.regfile.peak();
+        if let Some(du) = &self.detect {
+            stats.detect = du.stats();
+            stats.lhb = du.lhb_stats();
+        }
+        stats.mem = self.hierarchy.stats();
+        stats.slices = self.hierarchy.slice_stats();
     }
 
     fn resolve_barriers(&mut self) {
@@ -1146,29 +1140,16 @@ impl Sm {
         }
     }
 
-    /// Finalizes and returns statistics plus the recorded trace (when a
-    /// tracer was attached). A final end-of-run sample is appended so the
-    /// timeline always closes on counters equal to the returned stats.
+    /// Finalizes and returns statistics, plus the recorded trace when a
+    /// tracer was attached. The trace closes on a final sample taken here,
+    /// whose stats equal the returned ones apart from the rename log.
     pub fn into_stats_and_trace(mut self) -> (SmStats, Option<SmTraceData>) {
-        let mut tracer = self.tracer.take();
-        if let Some(t) = tracer.as_mut() {
-            let sample = self.sample_now();
-            t.push_final_sample(sample);
-        }
-        let trace = tracer.map(|t| t.data);
-        (self.into_stats(), trace)
-    }
-
-    /// Finalizes and returns statistics.
-    pub fn into_stats(mut self) -> SmStats {
-        self.stats.cycles = self.cycle;
-        self.stats.rf_peak_rows = self.regfile.peak();
-        if let Some(du) = &self.detect {
-            self.stats.detect = du.stats();
-            self.stats.lhb = du.lhb_stats();
-        }
-        self.stats.mem = self.hierarchy.stats();
-        self.stats.slices = self.hierarchy.slice_stats();
+        let trace = self.tracer.take().map(|mut t| {
+            t.push_final_sample(self.sample_now());
+            t.data
+        });
+        let mut stats = std::mem::take(&mut self.stats);
+        self.complete_stats(&mut stats);
         // Drain the retire queue (counters were snapshotted above, so the
         // late retirements don't perturb reported LHB stats). Afterwards no
         // LHB entry pins a row and every warp has released its bindings, so
@@ -1180,13 +1161,8 @@ impl Sm {
                 }
             }
         }
-        self.stats.rf_final_rows = self.regfile.in_use();
-        self.stats
-    }
-
-    /// Live statistics view (cycle count not yet finalized).
-    pub fn stats(&self) -> &SmStats {
-        &self.stats
+        stats.rf_final_rows = self.regfile.in_use();
+        (stats, trace)
     }
 }
 
@@ -1244,16 +1220,11 @@ pub fn run_kernel_mode(
     config: SmConfig,
     reference: bool,
 ) -> SmStats {
-    let mut sm = Sm::new(config, kernel);
-    if reference {
-        sm.set_event_skip(false);
-    }
-    drive(&mut sm, kernel, cta_ids);
-    sm.into_stats()
+    run_kernel_traced_mode(kernel, cta_ids, config, None, reference).0
 }
 
 /// [`run_kernel_mode`] that also records a cycle-resolved trace per
-/// `spec`.
+/// `spec` when one is given (the trace is `None` exactly when `spec` is).
 ///
 /// # Panics
 ///
@@ -1262,15 +1233,16 @@ pub fn run_kernel_traced_mode(
     kernel: &dyn Kernel,
     cta_ids: &[usize],
     config: SmConfig,
-    spec: TraceSpec,
+    spec: Option<TraceSpec>,
     reference: bool,
-) -> (SmStats, SmTraceData) {
+) -> (SmStats, Option<SmTraceData>) {
     let mut sm = Sm::new(config, kernel);
     if reference {
         sm.set_event_skip(false);
     }
-    sm.attach_tracer(spec);
+    if let Some(spec) = spec {
+        sm.attach_tracer(spec);
+    }
     drive(&mut sm, kernel, cta_ids);
-    let (stats, trace) = sm.into_stats_and_trace();
-    (stats, trace.expect("tracer attached above"))
+    sm.into_stats_and_trace()
 }

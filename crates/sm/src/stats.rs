@@ -142,4 +142,78 @@ impl SmStats {
     pub fn issued_total(&self) -> u64 {
         self.issued_mma + self.issued_tensor_loads + self.issued_other
     }
+
+    /// Folds another SM's statistics into these: counters sum, and
+    /// high-water marks (`cycles` and the peaks) take the worst SM. Whole-GPU
+    /// results and trace timelines both fold per-SM stats with this, in
+    /// `sm_id` order, so floating-point sums are order-stable.
+    pub fn accumulate(&mut self, s: &SmStats) {
+        self.cycles = self.cycles.max(s.cycles);
+        self.issued_mma += s.issued_mma;
+        self.issued_tensor_loads += s.issued_tensor_loads;
+        self.row_loads += s.row_loads;
+        self.eliminated_loads += s.eliminated_loads;
+        self.issued_other += s.issued_other;
+        self.services.lhb += s.services.lhb;
+        self.services.l1 += s.services.l1;
+        self.services.l2 += s.services.l2;
+        self.services.dram += s.services.dram;
+        self.services.shared += s.services.shared;
+        self.octet_dup_l1 += s.octet_dup_l1;
+        self.stalls.empty += s.stalls.empty;
+        self.stalls.data_dependency += s.stalls.data_dependency;
+        self.stalls.ldst_full += s.stalls.ldst_full;
+        self.stalls.tensor_busy += s.stalls.tensor_busy;
+        self.stalls.barrier += s.stalls.barrier;
+        self.ldst_pipe_stalls += s.ldst_pipe_stalls;
+        self.rf_peak_rows = self.rf_peak_rows.max(s.rf_peak_rows);
+        self.rf_final_rows += s.rf_final_rows;
+        self.detect.workspace_loads += s.detect.workspace_loads;
+        self.detect.non_workspace_loads += s.detect.non_workspace_loads;
+        self.detect.boundary_bypasses += s.detect.boundary_bypasses;
+        self.detect.eliminated += s.detect.eliminated;
+        self.lhb.hits += s.lhb.hits;
+        self.lhb.misses += s.lhb.misses;
+        self.lhb.conflict_evictions += s.lhb.conflict_evictions;
+        self.lhb.retire_releases += s.lhb.retire_releases;
+        self.lhb.store_invalidations += s.lhb.store_invalidations;
+        let (m, o) = (&mut self.mem, &s.mem);
+        m.l1_hits += o.l1_hits;
+        m.l1_misses += o.l1_misses;
+        m.mshr_merges += o.mshr_merges;
+        m.mshr_stalls += o.mshr_stalls;
+        m.l2_accesses += o.l2_accesses;
+        m.l2_hits += o.l2_hits;
+        m.dram_accesses += o.dram_accesses;
+        m.dram_bytes += o.dram_bytes;
+        m.stores += o.stores;
+        m.store_bytes += o.store_bytes;
+        m.l2_port_requests += o.l2_port_requests;
+        m.l2_queue_delay += o.l2_queue_delay;
+        m.dram_requests += o.dram_requests;
+        m.dram_queue_delay += o.dram_queue_delay;
+        m.mshr_peak_occupancy = m.mshr_peak_occupancy.max(o.mshr_peak_occupancy);
+        m.l2_peak_queue_delay = m.l2_peak_queue_delay.max(o.l2_peak_queue_delay);
+        m.dram_peak_queue_delay = m.dram_peak_queue_delay.max(o.dram_peak_queue_delay);
+        self.rename_pairs.extend_from_slice(&s.rename_pairs);
+        // Per-slice counters fold element-wise (sums for totals, max for
+        // peaks).
+        if self.slices.len() < s.slices.len() {
+            self.slices.resize(s.slices.len(), Default::default());
+        }
+        for (a, b) in self.slices.iter_mut().zip(&s.slices) {
+            a.accesses += b.accesses;
+            a.l2_hits += b.l2_hits;
+            a.dram_accesses += b.dram_accesses;
+            a.stores += b.stores;
+            a.port_requests += b.port_requests;
+            a.port_queue_delay += b.port_queue_delay;
+            a.port_peak_queue_delay = a.port_peak_queue_delay.max(b.port_peak_queue_delay);
+            a.dram_queue_delay += b.dram_queue_delay;
+            a.noc_req_delay += b.noc_req_delay;
+            a.noc_resp_delay += b.noc_resp_delay;
+            a.mshr_peak = a.mshr_peak.max(b.mshr_peak);
+        }
+        self.ctas_run += s.ctas_run;
+    }
 }

@@ -1,18 +1,19 @@
 //! Cycle-resolved tracing of one SM run.
 //!
 //! When a [`TraceSpec`] is attached to an [`crate::Sm`] (via
-//! [`crate::run_kernel_traced_mode`]), the SM snapshots its counters every
-//! `interval` cycles into a compact, append-only timeline and records a
-//! begin/end span for every CTA it executes. All buffers are hard-capped:
-//! once full, new entries are *counted as dropped* rather than silently
-//! truncated, so a consumer can always tell whether the timeline is
-//! complete.
+//! [`crate::run_kernel_traced_mode`]), the SM snapshots its [`SmStats`]
+//! and live memory gauges every `interval` cycles into an append-only
+//! timeline and records a begin/end span for every CTA it executes. All
+//! buffers are hard-capped: once full, new entries are *counted as
+//! dropped* rather than silently truncated, so a consumer can always tell
+//! whether the timeline is complete.
 //!
 //! Samples are cumulative snapshots (not deltas): consumers difference
 //! adjacent samples to recover per-window rates, and the final sample —
 //! always pushed at run end, even when the periodic buffer is full —
-//! equals the end-of-run totals, which higher layers use to cross-check
-//! the timeline against [`crate::SmStats`].
+//! equals the run's returned statistics apart from the rename log.
+
+use crate::SmStats;
 
 /// Tracing parameters for one SM run.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -38,73 +39,59 @@ impl Default for TraceSpec {
     }
 }
 
-/// A cumulative counter snapshot taken at one sample point.
-///
-/// Counter fields are monotone over a run; gauge fields
-/// (`mshr_occupancy`, `l2_backlog`, `dram_backlog`) are instantaneous.
+/// The live memory-side gauges at one sample point: levels at that
+/// cycle, not running totals.
 #[derive(Copy, Clone, PartialEq, Debug, Default)]
+pub struct SmGauges {
+    /// Outstanding MSHR fills.
+    pub mshr_occupancy: u64,
+    /// L2-port backlog, in cycles (summed over slices when the sliced
+    /// memory side is in use).
+    pub l2_backlog: f64,
+    /// DRAM-server backlog, in cycles (summed over slices when the sliced
+    /// memory side is in use).
+    pub dram_backlog: f64,
+    /// Worst single-L2-slice backlog, in cycles (zero on the flat memory
+    /// side).
+    pub slice_backlog_max: f64,
+    /// Backlog summed over all L2 slices, in cycles (zero on the flat
+    /// memory side).
+    pub slice_backlog_sum: f64,
+    /// Index of the hottest L2 slice (zero on the flat memory side).
+    /// Makes slice camping visible on timelines.
+    pub hot_slice: u64,
+}
+
+/// One sample point of a timeline.
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct SmSample {
     /// Cycle at which the snapshot was taken.
     pub cycle: u64,
-    /// MMA instructions issued so far.
-    pub issued_mma: u64,
-    /// Tensor-core load instructions issued so far.
-    pub issued_tensor_loads: u64,
-    /// Other instructions issued so far.
-    pub issued_other: u64,
-    /// Scheduler slots with no runnable warp.
-    pub stall_empty: u64,
-    /// Scheduler slots blocked on operand dependencies.
-    pub stall_data_dependency: u64,
-    /// Scheduler slots blocked on a full LDST queue.
-    pub stall_ldst_full: u64,
-    /// Scheduler slots blocked on busy tensor cores.
-    pub stall_tensor_busy: u64,
-    /// Scheduler slots parked at barriers.
-    pub stall_barrier: u64,
-    /// LDST pipe stall cycles (MSHR full / RF pressure).
-    pub ldst_pipe_stalls: u64,
-    /// LHB probe hits so far (zero for baseline runs).
-    pub lhb_hits: u64,
-    /// LHB probe misses so far (zero for baseline runs).
-    pub lhb_misses: u64,
-    /// Load row-segments served by LHB renaming.
-    pub serv_lhb: u64,
-    /// Load row-segments served by the L1.
-    pub serv_l1: u64,
-    /// Load row-segments served by the L2.
-    pub serv_l2: u64,
-    /// Load row-segments served by DRAM.
-    pub serv_dram: u64,
-    /// Load row-segments served by shared memory.
-    pub serv_shared: u64,
-    /// L1 sector hits so far.
-    pub l1_hits: u64,
-    /// L1 sector misses so far.
-    pub l1_misses: u64,
-    /// Accesses that reached the L2 slice so far.
-    pub l2_accesses: u64,
-    /// Accesses that reached DRAM so far.
-    pub dram_accesses: u64,
-    /// Outstanding MSHR fills at the sample point (gauge).
-    pub mshr_occupancy: u64,
-    /// MSHR occupancy high-water mark so far.
-    pub mshr_peak: u64,
-    /// L2-port backlog at the sample point, in cycles (gauge; summed over
-    /// slices when the sliced memory side is in use).
-    pub l2_backlog: f64,
-    /// DRAM-server backlog at the sample point, in cycles (gauge; summed
-    /// over slices when the sliced memory side is in use).
-    pub dram_backlog: f64,
-    /// Worst single-L2-slice backlog at the sample point, in cycles
-    /// (gauge; zero on the flat memory side).
-    pub slice_backlog_max: f64,
-    /// Backlog summed over all L2 slices at the sample point, in cycles
-    /// (gauge; zero on the flat memory side).
-    pub slice_backlog_sum: f64,
-    /// Index of the hottest L2 slice at the sample point (gauge; zero on
-    /// the flat memory side). Makes slice camping visible on timelines.
-    pub hot_slice: u64,
+    /// The run's statistics at `cycle`, completed by the code that
+    /// finalizes a run's [`SmStats`]. `rename_pairs` stays empty: it is a
+    /// log, not a counter.
+    pub stats: SmStats,
+    /// Live gauges at `cycle`.
+    pub gauges: SmGauges,
+}
+
+impl SmSample {
+    /// Folds another SM's sample at the same point into this one: the
+    /// stats by [`SmStats::accumulate`], the fold of per-SM results; gauge
+    /// levels sum chip-wide, and the hot slice is the one behind the worst
+    /// per-SM slice backlog. `cycle` is left to the caller.
+    pub fn accumulate(&mut self, s: &SmSample) {
+        self.stats.accumulate(&s.stats);
+        let (g, o) = (&mut self.gauges, &s.gauges);
+        g.mshr_occupancy += o.mshr_occupancy;
+        g.l2_backlog += o.l2_backlog;
+        g.dram_backlog += o.dram_backlog;
+        g.slice_backlog_sum += o.slice_backlog_sum;
+        if o.slice_backlog_max > g.slice_backlog_max {
+            g.slice_backlog_max = o.slice_backlog_max;
+            g.hot_slice = o.hot_slice;
+        }
+    }
 }
 
 /// One CTA's residency on the SM.
@@ -121,8 +108,6 @@ pub struct CtaSpan {
 /// The complete trace of one SM run.
 #[derive(Clone, Debug, Default)]
 pub struct SmTraceData {
-    /// Sampling interval the timeline was recorded at.
-    pub interval: u64,
     /// Cumulative samples, in cycle order; the last entry is the
     /// end-of-run snapshot.
     pub samples: Vec<SmSample>,
@@ -148,10 +133,7 @@ impl SmTracer {
         assert!(spec.interval > 0, "trace interval must be non-zero");
         SmTracer {
             spec,
-            data: SmTraceData {
-                interval: spec.interval,
-                ..SmTraceData::default()
-            },
+            data: SmTraceData::default(),
             open_ctas: std::collections::HashMap::new(),
         }
     }
@@ -169,16 +151,11 @@ impl SmTracer {
     /// timeline always closes on the run totals). Replaces a periodic
     /// sample taken at the same cycle.
     pub(crate) fn push_final_sample(&mut self, sample: SmSample) {
-        if self
-            .data
-            .samples
-            .last()
-            .is_some_and(|s| s.cycle == sample.cycle)
-        {
-            *self.data.samples.last_mut().expect("checked") = sample;
-        } else {
-            self.data.samples.push(sample);
+        let samples = &mut self.data.samples;
+        if samples.last().is_some_and(|s| s.cycle == sample.cycle) {
+            samples.pop();
         }
+        samples.push(sample);
     }
 
     pub(crate) fn cta_begin(&mut self, cta_slot: usize, cta: usize, cycle: u64) {
@@ -205,6 +182,17 @@ impl SmTracer {
 mod tests {
     use super::*;
 
+    fn sample(cycle: u64, issued_other: u64) -> SmSample {
+        SmSample {
+            cycle,
+            stats: SmStats {
+                issued_other,
+                ..SmStats::default()
+            },
+            ..SmSample::default()
+        }
+    }
+
     #[test]
     fn span_cap_counts_drops_instead_of_truncating_silently() {
         let mut t = SmTracer::new(TraceSpec {
@@ -228,18 +216,11 @@ mod tests {
             sample_cap: 2,
         });
         for c in 1..=4u64 {
-            t.push_sample(SmSample {
-                cycle: c,
-                ..SmSample::default()
-            });
+            t.push_sample(sample(c, 0));
         }
         assert_eq!(t.data.samples.len(), 2);
         assert_eq!(t.data.dropped_samples, 2);
-        t.push_final_sample(SmSample {
-            cycle: 99,
-            issued_other: 7,
-            ..SmSample::default()
-        });
+        t.push_final_sample(sample(99, 7));
         assert_eq!(t.data.samples.len(), 3);
         assert_eq!(t.data.samples.last().unwrap().cycle, 99);
     }
@@ -247,17 +228,9 @@ mod tests {
     #[test]
     fn final_sample_replaces_same_cycle_periodic_sample() {
         let mut t = SmTracer::new(TraceSpec::default());
-        t.push_sample(SmSample {
-            cycle: 1024,
-            issued_other: 1,
-            ..SmSample::default()
-        });
-        t.push_final_sample(SmSample {
-            cycle: 1024,
-            issued_other: 2,
-            ..SmSample::default()
-        });
+        t.push_sample(sample(1024, 1));
+        t.push_final_sample(sample(1024, 2));
         assert_eq!(t.data.samples.len(), 1);
-        assert_eq!(t.data.samples[0].issued_other, 2);
+        assert_eq!(t.data.samples[0].stats.issued_other, 2);
     }
 }

@@ -1,12 +1,14 @@
 //! Equivalence gate for the event-driven tick loop: the wakeup-wheel
-//! fast-forward must produce `SmStats` (and traces) byte-identical to the
-//! tick-by-tick reference loop — it may only be faster.
+//! fast-forward must produce `SmStats` (and traces, whose samples are
+//! full `SmStats` snapshots) byte-identical to the tick-by-tick reference
+//! loop — it may only be faster.
 //!
 //! The loop is chosen per run (the `reference` flag of `run_kernel_mode`),
 //! so these tests are safe under the parallel test runner.
 
 use duplo_core::LhbConfig;
 use duplo_isa::{ArchReg, CtaTrace, Kernel, Op, Space, WarpTrace, WorkspaceDesc};
+use duplo_mem::HashKind;
 use duplo_sm::{SmConfig, TraceSpec, run_kernel, run_kernel_mode, run_kernel_traced_mode};
 use duplo_testkit::prop::check;
 use duplo_testkit::{Rng, require, require_eq};
@@ -170,7 +172,9 @@ fn event_skip_matches_reference_on_random_kernels() {
 
 /// A latency- and barrier-heavy kernel (DRAM round trips, MMA chains,
 /// barriers) — the shape the wakeup wheel accelerates most — still matches
-/// the reference exactly, including the cycle-resolved trace.
+/// the reference exactly, including the cycle-resolved trace: at every
+/// sample point the two loops hold equal `SmStats` snapshots and gauges,
+/// on the flat memory side and on 4 L2 slices.
 #[test]
 fn event_skip_matches_reference_on_latency_heavy_kernel_with_trace() {
     let mut ops = Vec::new();
@@ -199,28 +203,40 @@ fn event_skip_matches_reference_on_latency_heavy_kernel_with_trace() {
         ctas: vec![cta],
         workspace: Some(ws_desc()),
     };
-    let spec = TraceSpec {
+    let spec = Some(TraceSpec {
         interval: 64,
         ..TraceSpec::default()
-    };
-    let (event_stats, event_trace) = run_kernel_traced_mode(&kernel, &[0], cfg(true), spec, false);
-    let (ref_stats, ref_trace) = run_kernel_traced_mode(&kernel, &[0], cfg(true), spec, true);
-    assert_eq!(event_stats, ref_stats, "traced stats diverge");
-    assert_eq!(event_trace.interval, ref_trace.interval);
-    assert_eq!(event_trace.samples, ref_trace.samples, "timelines diverge");
-    assert_eq!(event_trace.cta_spans, ref_trace.cta_spans);
-    assert_eq!(event_trace.dropped_samples, ref_trace.dropped_samples);
-    assert_eq!(event_trace.dropped_spans, ref_trace.dropped_spans);
-    // The kernel really exercised the interesting machinery.
-    assert!(event_stats.stalls.barrier > 0, "expected barrier stalls");
-    assert!(
-        event_stats.stalls.data_dependency > 0,
-        "expected dependency stalls"
-    );
-    assert_eq!(
-        event_stats.issued_total() + event_stats.stalls.total(),
-        event_stats.cycles * 4
-    );
+    });
+    let flat = cfg(true);
+    let mut sliced = cfg(true);
+    sliced.hierarchy = sliced.hierarchy.sliced(4, HashKind::XorFold);
+    for config in [flat, sliced] {
+        let (event_stats, event_trace) =
+            run_kernel_traced_mode(&kernel, &[0], config.clone(), spec, false);
+        let (ref_stats, ref_trace) = run_kernel_traced_mode(&kernel, &[0], config, spec, true);
+        let (event_trace, ref_trace) = (event_trace.unwrap(), ref_trace.unwrap());
+        assert_eq!(event_stats, ref_stats, "traced stats diverge");
+        assert!(event_trace.samples.len() > 2, "expected several samples");
+        assert_eq!(event_trace.samples, ref_trace.samples, "snapshots diverge");
+        assert_eq!(event_trace.cta_spans, ref_trace.cta_spans);
+        assert_eq!(event_trace.dropped_samples, ref_trace.dropped_samples);
+        assert_eq!(event_trace.dropped_spans, ref_trace.dropped_spans);
+        // The timeline closes on the run's own stats (samples carry no
+        // rename log).
+        let mut closing = event_stats.clone();
+        closing.rename_pairs.clear();
+        assert_eq!(event_trace.samples.last().unwrap().stats, closing);
+        // The kernel really exercised the interesting machinery.
+        assert!(event_stats.stalls.barrier > 0, "expected barrier stalls");
+        assert!(
+            event_stats.stalls.data_dependency > 0,
+            "expected dependency stalls"
+        );
+        assert_eq!(
+            event_stats.issued_total() + event_stats.stalls.total(),
+            event_stats.cycles * 4
+        );
+    }
 }
 
 /// The untraced run and the traced run agree on final statistics in event
@@ -238,10 +254,10 @@ fn tracing_does_not_perturb_event_skip_results() {
         &fuzz_kernel(&case),
         &[0, 1],
         cfg(true),
-        TraceSpec {
+        Some(TraceSpec {
             interval: 32,
             ..TraceSpec::default()
-        },
+        }),
         false,
     );
     assert_eq!(plain, traced);

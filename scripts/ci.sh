@@ -152,6 +152,21 @@ if [ -s "$JSON_DIR/stderr_silent.txt" ]; then
     cat "$JSON_DIR/stderr_silent.txt" >&2
     exit 1
 fi
+# The same thread-count identity on the sliced memory side, which the flat
+# fig10 trace never reaches: the `slices` counter track and the hot-slice
+# fold (worst per-SM backlog, with its slice index).
+echo "== trace: sliced export + validate + thread-count diff ==" >&2
+for t in 1 4; do
+    DUPLO_THREADS=$t cargo run -q --release --offline -p duplo-bench --bin duplo -- \
+        run wl_slice_camp --sample 2 --no-cache --trace "$JSON_DIR/trace_camp_t$t.json" \
+        > /dev/null
+done
+cargo run -q --release --offline -p duplo-bench --bin json_check -- \
+    "$JSON_DIR/trace_camp_t1.json" "$JSON_DIR/trace_camp_t4.json"
+cmp "$JSON_DIR/trace_camp_t1.json" "$JSON_DIR/trace_camp_t4.json" || {
+    echo "sliced trace export differs between DUPLO_THREADS=1 and 4" >&2
+    exit 1
+}
 
 # wtrace gate (1/2): the differential replay harness. For EVERY registry
 # experiment, record -> encode -> decode -> replay must reproduce the
