@@ -46,6 +46,8 @@
 //! counts, and cache states — the CI determinism and cache gates diff two
 //! such runs.
 
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use duplo_sim::cache::CacheStats;
@@ -54,6 +56,7 @@ use duplo_sim::experiments::{
 };
 use duplo_sim::json::Json;
 use duplo_sim::metrics::json_stable;
+use duplo_sim::options::{self, Command, OPTIONS, value};
 use duplo_sim::progress::ProgressHandle;
 use duplo_sim::results::{ExperimentResult, rollup};
 use duplo_sim::runner::resolve_threads;
@@ -66,14 +69,25 @@ pub const USAGE: &str = "options:\n  --sample <N>      simulate at most N CTAs p
 /// that cannot be written prints `error: cannot write <path>: <e>` and
 /// exits with code 2, the way an unreadable `--trace-in` file does.
 pub fn write_or_exit(path: &Path, text: &str) {
+    stream_or_exit(path, |w| w.write_all(text.as_bytes()));
+}
+
+/// [`write_or_exit`] with the contents streamed through `write`, buffered.
+fn stream_or_exit<T>(path: &Path, write: impl FnOnce(&mut BufWriter<File>) -> io::Result<T>) -> T {
     let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
     let written = parent
         .map_or(Ok(()), std::fs::create_dir_all)
-        .and_then(|()| std::fs::write(path, text));
-    if let Err(e) = written {
+        .and_then(|()| File::create(path))
+        .and_then(|file| {
+            let mut w = BufWriter::new(file);
+            let out = write(&mut w)?;
+            w.flush()?;
+            Ok(out)
+        });
+    written.unwrap_or_else(|e| {
         eprintln!("error: cannot write {}: {e}", path.display());
         std::process::exit(2);
-    }
+    })
 }
 
 /// Runs `f` with a trace sink added to `cli` when it asks for one
@@ -84,24 +98,13 @@ pub fn with_trace<T>(cli: &RunOptions, f: impl FnOnce(&RunOptions) -> T) -> T {
     let Some(path) = &cli.trace else {
         return f(cli);
     };
-    let spec = trace::TraceSpec {
-        interval: cli
-            .trace_interval
-            .unwrap_or(trace::TraceSpec::default().interval),
-        ..trace::TraceSpec::default()
-    };
-    let sink = trace::TraceSink::new(spec, trace::DEFAULT_RUN_CAP);
+    let sink = trace::TraceSink::for_interval(cli.trace_interval);
     let out = f(&RunOptions {
         trace_sink: Some(sink.clone()),
         ..cli.clone()
     });
     let data = sink.finish();
-    let doc = data.to_chrome_json();
-    write_or_exit(path, &doc.to_pretty());
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .map_or(0, <[Json]>::len);
+    let events = stream_or_exit(path, |w| data.write_chrome(w));
     log::info(
         "trace",
         format_args!(
@@ -163,6 +166,55 @@ pub fn record_to_file<T>(path: &Path, cli: &RunOptions, f: impl FnOnce(&RunOptio
         format_args!("wrote {} ({} kernels)", path.display(), records.len()),
     );
     out
+}
+
+/// A `duplo submit` command line: the daemon's address and the body to
+/// post (`None`: shut the daemon down).
+#[derive(Debug)]
+pub struct Submit {
+    /// `--addr <host:port>`.
+    pub addr: String,
+    /// The submission, or `None` for `--shutdown`.
+    pub body: Option<String>,
+}
+
+/// Parses a `duplo submit` command line. Run options are checked by the
+/// rules `duplo run` applies and travel as the submission's `options`
+/// object: each option's last setting, in [`OPTIONS`] order.
+pub fn submit_request(args: &[String]) -> Result<Submit, String> {
+    let (mut addr, mut name, mut shutdown, mut trace) = (None, None, false, false);
+    let settings = options::parse_args(Command::Submit, args, |arg, rest| {
+        match arg {
+            "--addr" => addr = Some(value(arg, rest)?.to_string()),
+            "--shutdown" => shutdown = true,
+            "--trace" => trace = true,
+            _ if !arg.starts_with('-') && name.is_none() => name = Some(arg.to_string()),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    let addr = addr.ok_or("submit requires --addr <host:port>")?;
+    if shutdown {
+        return Ok(Submit { addr, body: None });
+    }
+    let name = name.ok_or("submit requires an experiment name (or --shutdown)")?;
+    let wire: Vec<(String, Json)> = OPTIONS
+        .iter()
+        .filter_map(|opt| {
+            let (_, v) = settings.iter().rev().find(|(o, _)| std::ptr::eq(*o, opt))?;
+            Some((opt.wire?.to_string(), v.clone()))
+        })
+        .collect();
+    let body = Json::obj()
+        .field("experiment", name)
+        .field_opt("options", (!wire.is_empty()).then_some(Json::Obj(wire)))
+        .field_opt("trace", trace.then_some(true))
+        .build()
+        .to_pretty();
+    Ok(Submit {
+        addr,
+        body: Some(body),
+    })
 }
 
 /// Prints the sampling banner. The worker-thread count goes to
@@ -361,6 +413,62 @@ mod tests {
                 "env and flag must share one message shape"
             );
         }
+    }
+
+    fn argv(args: &str) -> Vec<String> {
+        args.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn submit_bodies_keep_the_wire_format() {
+        // Byte for byte what earlier clients sent for these command lines:
+        // a submission's `X-Duplo-Job` is the digest of these bytes.
+        for (args, body) in [
+            ("smem_policy", "{\n  \"experiment\": \"smem_policy\"\n}\n"),
+            (
+                "smem_policy --sample 2",
+                "{\n  \"experiment\": \"smem_policy\",\n  \"options\": {\n    \"sample_ctas\": 2\n  }\n}\n",
+            ),
+            (
+                "smem_policy --full --no-cache --trace",
+                "{\n  \"experiment\": \"smem_policy\",\n  \"options\": {\n    \"full\": true,\n    \"no_cache\": true\n  },\n  \"trace\": true\n}\n",
+            ),
+            (
+                "wl_membound --l2-hash mod --l2-slices 4 --tick-reference --sample 3",
+                "{\n  \"experiment\": \"wl_membound\",\n  \"options\": {\n    \"sample_ctas\": 3,\n    \"tick_reference\": true,\n    \"l2_slices\": 4,\n    \"l2_hash\": \"mod\"\n  }\n}\n",
+            ),
+            (
+                "smem_policy --no-cache --sample 2 --sample 5",
+                "{\n  \"experiment\": \"smem_policy\",\n  \"options\": {\n    \"sample_ctas\": 5,\n    \"no_cache\": true\n  }\n}\n",
+            ),
+            (
+                "--trace smem_policy --l2-slices 0",
+                "{\n  \"experiment\": \"smem_policy\",\n  \"options\": {\n    \"l2_slices\": 0\n  },\n  \"trace\": true\n}\n",
+            ),
+        ] {
+            let req = submit_request(&argv(&format!("--addr 127.0.0.1:1 {args}"))).unwrap();
+            assert_eq!(req.body.as_deref(), Some(body), "{args}");
+        }
+        let req = submit_request(&argv("--shutdown --addr 127.0.0.1:1")).unwrap();
+        assert!(req.body.is_none());
+    }
+
+    #[test]
+    fn submit_checks_run_options_as_duplo_run_does() {
+        let submit = |args: &str| submit_request(&argv(&format!("--addr a x {args}")));
+        let run = |args: &str| RunOptions::from_cli(&argv(args));
+        assert_eq!(
+            submit("--sample 0").unwrap_err(),
+            run("--sample 0").unwrap_err()
+        );
+        assert_eq!(
+            submit("--sample").unwrap_err(),
+            run("--sample").unwrap_err()
+        );
+        let err = submit("--l2-hash crc").unwrap_err();
+        assert_eq!(err, r#"--l2-hash requires "mod" or "xor", got "crc""#);
+        // Output flags are `duplo run`'s alone.
+        assert_eq!(submit("--json o").unwrap_err(), "unknown argument: --json");
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //!   simulates; concurrent requesters for the same key block until the
 //!   leader publishes, so two [`crate::runner`] workers never simulate
 //!   the same point twice.
-//! * **Disk tier** — optional (a run's [`CacheCtl::dir`], which the CLI
-//!   fills from `--cache-dir` / `DUPLO_CACHE_DIR`, else the process
-//!   default from [`set_dir`]): results persist as `<digest>.json` via
-//!   [`crate::json`], so a later process serves repeats from disk.
+//! * **Disk tier** — optional (a run's [`RunOptions::cache_dir`], which
+//!   the CLI fills from `--cache-dir` / `DUPLO_CACHE_DIR`, else the
+//!   process default from [`set_dir`]): results persist as
+//!   `<digest>.json` via [`crate::json`], so a later process serves
+//!   repeats from disk.
 //!   Corrupted, truncated, or schema-mismatched entries fall back to
 //!   simulation and are rewritten; all disk I/O is best-effort.
 //!
@@ -30,7 +31,7 @@
 //! floats in shortest round-trip form), so cached and fresh results are
 //! byte-identical through the serializer and render identical tables.
 //!
-//! Every lookup reports its own outcome: [`run_cached_ctl`] returns the
+//! Every lookup reports its own outcome: [`run_cached`] returns the
 //! [`CacheStats`] of that one lookup (a hit or a miss, plus the disk bytes
 //! it moved) beside the result, and [`crate::GpuSim::run`] adds it to the
 //! run's [`crate::progress::ProgressHandle`]. Per-run reports (the CLI's
@@ -52,6 +53,7 @@ use duplo_sm::{SchedulerPolicy, SmStats};
 use crate::digest;
 use crate::gpu::{GpuConfig, GpuRunResult};
 use crate::json::{Json, parse};
+use crate::options::RunOptions;
 use crate::{metrics, wtrace};
 
 /// Version of the on-disk entry layout; bump when the codec changes shape.
@@ -163,31 +165,16 @@ pub fn stats() -> CacheStats {
 }
 
 // ---------------------------------------------------------------------------
-// Per-run cache control
+// Disk-tier location
 // ---------------------------------------------------------------------------
-
-/// By-value cache controls for one run (see [`crate::RunOptions`]).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CacheCtl {
-    /// Neither look up nor store entries for this run (`--no-cache`).
-    pub disabled: bool,
-    /// Disk-tier directory for this run; `None` uses the process default
-    /// from [`set_dir`] (memory only unless one was set).
-    pub dir: Option<PathBuf>,
-}
-
-impl CacheCtl {
-    fn dir(&self) -> Option<PathBuf> {
-        self.dir.clone().or_else(default_dir)
-    }
-}
 
 /// The disk-tier directory of runs that name none ([`set_dir`]).
 static DEFAULT_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 
-/// Sets the disk-tier directory used by runs whose [`CacheCtl::dir`] is
-/// `None` (a deployment setting, such as a long-running embedder's cache
-/// location). `None` makes such runs memory-only again.
+/// Sets the disk-tier directory used by runs whose
+/// [`RunOptions::cache_dir`] is `None` (a deployment setting, such as a
+/// long-running embedder's cache location). `None` makes such runs
+/// memory-only again.
 pub fn set_dir(dir: Option<PathBuf>) {
     *DEFAULT_DIR.lock().unwrap_or_else(|e| e.into_inner()) = dir;
 }
@@ -285,19 +272,19 @@ impl Drop for AbandonOnPanic {
 
 /// Serves a simulation run from the cache, computing it via `compute` on a
 /// miss, and returns the result with the [`CacheStats`] of this one lookup
-/// (all zero when `ctl` disables the cache). This is the sole entry point
+/// (all zero under [`RunOptions::no_cache`]). This is the sole entry point
 /// [`crate::GpuSim::run`] goes through, so every experiment driver and
-/// sweep inherits memoization. `ctl` carries the per-run controls
-/// ([`crate::RunOptions`]); the memory tier and its single-flight protocol
-/// are process-wide regardless, so concurrent runs with different disk
-/// settings still collapse identical keys to one simulation.
-pub fn run_cached_ctl(
-    ctl: &CacheCtl,
+/// sweep inherits memoization. The run's options pick the disk tier
+/// ([`RunOptions::cache_dir`]); the memory tier and its single-flight
+/// protocol are process-wide regardless, so concurrent runs with different
+/// disk settings still collapse identical keys to one simulation.
+pub fn run_cached(
+    opts: &RunOptions,
     cfg: &GpuConfig,
     kernel: &dyn Kernel,
     compute: impl FnOnce() -> GpuRunResult,
 ) -> (GpuRunResult, CacheStats) {
-    if ctl.disabled {
+    if opts.no_cache {
         return (compute(), CacheStats::default());
     }
     let key = run_key(cfg, kernel);
@@ -348,7 +335,8 @@ pub fn run_cached_ctl(
                     key,
                     slot: Arc::clone(&slot),
                 };
-                let (result, lookup) = match disk_load(ctl, key) {
+                let dir = opts.cache_dir.clone().or_else(default_dir);
+                let (result, lookup) = match disk_load(dir.as_deref(), key) {
                     Some((r, bytes)) => {
                         cm().disk_hits.inc();
                         (r, CacheStats::hit(bytes))
@@ -356,7 +344,7 @@ pub fn run_cached_ctl(
                     None => {
                         let r = (compute.take().expect("leader computes once"))();
                         cm().misses.inc();
-                        let bytes = disk_store(ctl, key, &r);
+                        let bytes = disk_store(dir.as_deref(), key, &r);
                         (r, CacheStats::miss(bytes))
                     }
                 };
@@ -519,9 +507,8 @@ fn entry_path(dir: &Path, key: u128) -> PathBuf {
 }
 
 /// The entry for `key` and the bytes read, if one decodes.
-fn disk_load(ctl: &CacheCtl, key: u128) -> Option<(GpuRunResult, u64)> {
-    let dir = ctl.dir()?;
-    let text = std::fs::read_to_string(entry_path(&dir, key)).ok()?;
+fn disk_load(dir: Option<&Path>, key: u128) -> Option<(GpuRunResult, u64)> {
+    let text = std::fs::read_to_string(entry_path(dir?, key)).ok()?;
     let doc = parse(&text).ok()?;
     let result = result_from_json(&doc)?;
     let bytes = text.len() as u64;
@@ -531,16 +518,16 @@ fn disk_load(ctl: &CacheCtl, key: u128) -> Option<(GpuRunResult, u64)> {
 
 /// Writes the entry for `key`; returns the bytes written (0 when there is
 /// no disk tier or the write failed).
-fn disk_store(ctl: &CacheCtl, key: u128, r: &GpuRunResult) -> u64 {
-    let Some(dir) = ctl.dir() else { return 0 };
-    if std::fs::create_dir_all(&dir).is_err() {
+fn disk_store(dir: Option<&Path>, key: u128, r: &GpuRunResult) -> u64 {
+    let Some(dir) = dir else { return 0 };
+    if std::fs::create_dir_all(dir).is_err() {
         return 0;
     }
     let text = result_to_json(r).to_pretty();
     // Atomic publish: write a private temp file, then rename over the
     // entry, so concurrent processes never observe a torn write.
     let tmp = dir.join(format!(".{}.tmp.{}", digest::hex(key), std::process::id()));
-    if std::fs::write(&tmp, &text).is_ok() && std::fs::rename(&tmp, entry_path(&dir, key)).is_ok() {
+    if std::fs::write(&tmp, &text).is_ok() && std::fs::rename(&tmp, entry_path(dir, key)).is_ok() {
         let bytes = text.len() as u64;
         cm().disk_write_bytes.add(bytes);
         bytes

@@ -246,15 +246,14 @@ impl GpuSim {
         };
         let sink = self.opts.trace_sink.as_ref();
         let mut simulated = false;
-        let (result, lookup) =
-            crate::cache::run_cached_ctl(&self.opts.cache_ctl(), &self.config, kernel, || {
-                simulated = true;
-                let (result, timelines) = self.simulate(kernel, sink.map(TraceSink::spec));
-                if let Some(sink) = sink {
-                    sink.record(kernel, &self.config, &result, Some(timelines));
-                }
-                result
-            });
+        let (result, lookup) = crate::cache::run_cached(&self.opts, &self.config, kernel, || {
+            simulated = true;
+            let (result, timelines) = self.simulate(kernel, sink.map(TraceSink::spec));
+            if let Some(sink) = sink {
+                sink.record(kernel, &self.config, &result, Some(timelines));
+            }
+            result
+        });
         if let (Some(sink), false) = (sink, simulated) {
             sink.record(kernel, &self.config, &result, None);
         }

@@ -143,7 +143,10 @@ impl Json {
         }
     }
 
-    fn write_pretty(&self, out: &mut String, indent: usize) {
+    /// Appends the [`Json::to_pretty`] form of `self` as a value nested
+    /// `indent` levels deep, without the trailing newline, so a writer can
+    /// stream a large document one element at a time.
+    pub(crate) fn write_pretty(&self, out: &mut String, indent: usize) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),

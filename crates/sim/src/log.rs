@@ -11,13 +11,11 @@
 //!   runner pool sizing),
 //! * `DUPLO_LOG=trace` — adds high-volume per-run detail.
 //!
-//! The format is deterministic: `[tag] message` for host-side lines
-//! (unchanged from the historical ad-hoc `eprintln!` format, so existing
-//! grep-based gates keep working), and `[tag @cycle] message` for
-//! sim-side lines stamped with the monotonic simulation cycle they refer
-//! to. No wall-clock timestamps are ever embedded — two identical runs
-//! log identical bytes (modulo lines whose *content* is volatile, such as
-//! wall-clock reports, which are confined to info level).
+//! The format is deterministic: `[tag] message` (unchanged from the
+//! historical ad-hoc `eprintln!` format, so existing grep-based gates keep
+//! working). No wall-clock timestamps are ever embedded — two identical
+//! runs log identical bytes (modulo lines whose *content* is volatile,
+//! such as wall-clock reports, which are confined to info level).
 //!
 //! Levels resolve in order: an active [`override_level`] guard (tests),
 //! then the `DUPLO_LOG` environment variable (parsed once per process),
@@ -122,27 +120,12 @@ pub fn override_level(l: Level) -> LevelOverrideGuard {
     LevelOverrideGuard { prev, _lock: lock }
 }
 
-fn emit(tag: &str, cycle: Option<u64>, args: fmt::Arguments<'_>) {
-    // One locked write per line so concurrent workers never interleave
-    // within a line; failures (closed stderr) are ignored.
-    let mut err = std::io::stderr().lock();
-    let _ = match cycle {
-        Some(c) => writeln!(err, "[{tag} @{c}] {args}"),
-        None => writeln!(err, "[{tag}] {args}"),
-    };
-}
-
-/// Logs at `l` with the host-side format `[tag] message`.
+/// Logs at `l` with the format `[tag] message`.
 pub fn log(l: Level, tag: &str, args: fmt::Arguments<'_>) {
     if enabled(l) {
-        emit(tag, None, args);
-    }
-}
-
-/// Logs at `l` with the cycle-stamped format `[tag @cycle] message`.
-pub fn log_at(l: Level, tag: &str, cycle: u64, args: fmt::Arguments<'_>) {
-    if enabled(l) {
-        emit(tag, Some(cycle), args);
+        // One locked write per line so concurrent workers never interleave
+        // within a line; failures (closed stderr) are ignored.
+        let _ = writeln!(std::io::stderr().lock(), "[{tag}] {args}");
     }
 }
 

@@ -52,29 +52,8 @@ impl JobState {
     }
 }
 
-struct Inner {
-    state: JobState,
-    cycles: u64,
-    cache: CacheStats,
-    seq: u64,
-    /// Every state the job has passed through, in order.
-    history: Vec<JobState>,
-}
-
-impl Inner {
-    fn snapshot(&self) -> ProgressSnapshot {
-        ProgressSnapshot {
-            state: self.state,
-            cycles: self.cycles,
-            cache: self.cache,
-            seq: self.seq,
-            history: self.history.clone(),
-        }
-    }
-}
-
 struct Shared {
-    inner: Mutex<Inner>,
+    inner: Mutex<ProgressSnapshot>,
     cv: Condvar,
 }
 
@@ -109,7 +88,7 @@ impl ProgressSnapshot {
 
 /// Shared handle onto one job's progress cell. Clones observe and mutate
 /// the same cell; equality is identity (two handles are equal iff they
-/// share a cell), which keeps [`crate::RunOptions`]'s `PartialEq` honest.
+/// share a cell).
 #[derive(Clone)]
 pub struct ProgressHandle(Arc<Shared>);
 
@@ -141,7 +120,7 @@ impl ProgressHandle {
     /// Fresh handle in the `queued` state.
     pub fn new() -> ProgressHandle {
         ProgressHandle(Arc::new(Shared {
-            inner: Mutex::new(Inner {
+            inner: Mutex::new(ProgressSnapshot {
                 state: JobState::Queued,
                 cycles: 0,
                 cache: CacheStats::default(),
@@ -152,7 +131,7 @@ impl ProgressHandle {
         }))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, ProgressSnapshot> {
         self.0.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -184,7 +163,7 @@ impl ProgressHandle {
 
     /// Current view of the job.
     pub fn snapshot(&self) -> ProgressSnapshot {
-        self.lock().snapshot()
+        self.lock().clone()
     }
 
     /// Blocks until the sequence number passes `since` (something
@@ -208,7 +187,7 @@ impl ProgressHandle {
                 .unwrap_or_else(|e| e.into_inner());
             inner = guard;
         }
-        inner.snapshot()
+        inner.clone()
     }
 }
 

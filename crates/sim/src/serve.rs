@@ -546,13 +546,56 @@ fn error_response(status: u16, message: &str) -> Response {
     Response::json(status, body)
 }
 
+/// An HTTP/1.x message head: the start line and the header fields.
+struct Head {
+    /// The request line (`GET /v1/health HTTP/1.1`) or the status line
+    /// (`HTTP/1.1 200 OK`).
+    start: String,
+    /// Header fields in order, names lowercased, names and values trimmed.
+    headers: Vec<(String, String)>,
+}
+
+impl Head {
+    /// `(method, target)` of a request line `METHOD TARGET HTTP/1.x`.
+    fn request(&self) -> Option<(&str, &str)> {
+        let mut parts = self.start.split_whitespace();
+        match (parts.next(), parts.next(), parts.next()) {
+            (Some(m), Some(p), Some(v)) if v.starts_with("HTTP/1.") => Some((m, p)),
+            _ => None,
+        }
+    }
+
+    /// The code of a status line `HTTP/1.x CODE REASON`.
+    fn status(&self) -> Option<u16> {
+        self.start.split_whitespace().nth(1)?.parse().ok()
+    }
+}
+
+/// Parses an HTTP/1.x head: the bytes before the blank line that ends it.
+/// Pure (no socket) and total: invalid UTF-8 decodes lossily and lines
+/// without a colon are skipped, so any input yields a [`Head`] whose start
+/// line the caller judges ([`Head::request`], [`Head::status`]).
+fn parse_head(bytes: &[u8]) -> Head {
+    let text = String::from_utf8_lossy(bytes);
+    let mut lines = text.split("\r\n");
+    let start = lines.next().unwrap_or("").to_string();
+    let headers = lines
+        .filter_map(|l| {
+            let (name, value) = l.split_once(':')?;
+            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
+        })
+        .collect();
+    Head { start, headers }
+}
+
 /// Reads one request from the stream. Errors come back as ready-made
 /// responses so malformed input never tears the connection down silently.
 fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
-    // Head: request line + headers, up to the CRLFCRLF separator.
+    // Head: request line + headers, up to the CRLFCRLF separator, which
+    // only the bytes a read adds (and the 3 before them) can complete.
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
-    let body_start;
+    let head_len;
     loop {
         if head.len() > MAX_HEAD_BYTES {
             return Err(error_response(400, "request head exceeds 16 KiB"));
@@ -563,32 +606,23 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
         if n == 0 {
             return Err(error_response(400, "connection closed mid-request"));
         }
+        let from = head.len().saturating_sub(3);
         head.extend_from_slice(&buf[..n]);
-        if let Some(pos) = find_crlfcrlf(&head) {
-            body_start = pos + 4;
+        if let Some(pos) = find_crlfcrlf(&head[from..]) {
+            head_len = from + pos;
             break;
         }
     }
-    let head_text = String::from_utf8_lossy(&head[..body_start]);
-    let mut lines = head_text.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split_whitespace();
-    let (method, path) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) if v.starts_with("HTTP/1.") => (m.to_string(), p.to_string()),
-        _ => {
-            return Err(error_response(
-                400,
-                &format!("malformed request line: {request_line:?}"),
-            ));
-        }
+    let parsed = parse_head(&head[..head_len]);
+    let Some((method, path)) = parsed.request() else {
+        return Err(error_response(
+            400,
+            &format!("malformed request line: {:?}", parsed.start),
+        ));
     };
+    let (method, path) = (method.to_string(), path.to_string());
     let mut content_length = 0usize;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
+    for (name, value) in &parsed.headers {
         if name == "transfer-encoding" {
             return Err(error_response(
                 501,
@@ -609,7 +643,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
             ),
         ));
     }
-    let mut body = head[body_start..].to_vec();
+    let mut body = head[head_len + 4..].to_vec();
     while body.len() < content_length {
         let n = stream
             .read(&mut buf)
@@ -627,7 +661,8 @@ fn find_crlfcrlf(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-fn write_response(stream: &mut TcpStream, resp: &Response) {
+/// The status line and headers of `resp`, through the blank line.
+fn response_head(resp: &Response) -> String {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
         resp.status,
@@ -642,8 +677,12 @@ fn write_response(stream: &mut TcpStream, resp: &Response) {
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
+    head
+}
+
+fn write_response(stream: &mut TcpStream, resp: &Response) {
     // A peer that hung up early is its own problem; nothing to salvage.
-    let _ = stream.write_all(head.as_bytes());
+    let _ = stream.write_all(response_head(resp).as_bytes());
     let _ = stream.write_all(&resp.body);
     let _ = stream.flush();
 }
@@ -932,22 +971,15 @@ fn submit_experiment(
     // Thread the lifecycle handle into the simulation so per-kernel cycle
     // counts stream out while the run is in flight.
     opts.progress = Some(progress.clone());
-    opts.trace_sink = want_trace.then(|| {
-        let spec = trace::TraceSpec {
-            interval: opts
-                .trace_interval
-                .unwrap_or(trace::TraceSpec::default().interval),
-            ..trace::TraceSpec::default()
-        };
-        trace::TraceSink::new(spec, trace::DEFAULT_RUN_CAP)
-    });
+    opts.trace_sink = want_trace.then(|| trace::TraceSink::for_interval(opts.trace_interval));
     progress.set_state(JobState::Running);
     let out = (spec.run)(&opts);
     let artifact = opts.trace_sink.as_ref().map(|sink| {
         let data = sink.finish();
-        let key = state
-            .artifacts
-            .insert(data.to_chrome_json().to_pretty().as_bytes());
+        let mut bytes = Vec::new();
+        data.write_chrome(&mut bytes)
+            .expect("writing to memory cannot fail");
+        let key = state.artifacts.insert(&bytes);
         slog(format_args!(
             "traced {} ({} runs) -> artifact {key}",
             spec.name,
@@ -1080,23 +1112,13 @@ pub fn http_request(
         .read_to_end(&mut raw)
         .map_err(|e| format!("cannot read response: {e}"))?;
     let sep = find_crlfcrlf(&raw).ok_or("malformed response: no header terminator")?;
-    let head_text = String::from_utf8_lossy(&raw[..sep]).to_string();
-    let mut lines = head_text.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed status line: {status_line:?}"))?;
-    let headers = lines
-        .filter_map(|l| {
-            l.split_once(':')
-                .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        })
-        .collect();
+    let head = parse_head(&raw[..sep]);
+    let status = head
+        .status()
+        .ok_or_else(|| format!("malformed status line: {:?}", head.start))?;
     Ok(HttpReply {
         status,
-        headers,
+        headers: head.headers,
         body: raw[sep + 4..].to_vec(),
     })
 }
@@ -1481,6 +1503,72 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 400"), "{text}");
         server.shutdown();
         server.join();
+    }
+
+    #[test]
+    fn parse_head_is_total_and_reads_back_written_heads() {
+        use duplo_testkit::{prop, require_eq};
+        // Mostly the bytes a head is made of, so lines and colons occur.
+        let alphabet = b"\r\n: \tGET/1.HTTP\x00\xff";
+        prop::check(
+            "parse_head never panics",
+            512,
+            |rng| {
+                let len = rng.gen_range(0usize..48);
+                let mut bytes: Vec<u8> = (0..len)
+                    .map(|_| alphabet[rng.gen_index(alphabet.len())])
+                    .collect();
+                if rng.gen_bool(0.25) {
+                    rng.fill_bytes(&mut bytes);
+                }
+                Some(bytes)
+            },
+            |bytes| {
+                let head = parse_head(bytes);
+                let _ = (head.request(), head.status());
+                Ok(())
+            },
+        );
+        let statuses = [200u16, 400, 404, 405, 413, 500, 501];
+        prop::check(
+            "a written head parses back",
+            256,
+            |rng| {
+                let status = statuses[rng.gen_index(statuses.len())];
+                let extra: Vec<(String, String)> = (0..rng.gen_range(0usize..4))
+                    .map(|i| {
+                        let inner: String = (0..rng.gen_range(0usize..6))
+                            .map(|_| char::from(b"a: /-9"[rng.gen_index(6)]))
+                            .collect();
+                        (format!("X-Duplo-H{i}"), format!("v{inner}v"))
+                    })
+                    .collect();
+                Some((status, extra, rng.gen_range(0usize..100)))
+            },
+            |(status, extra, len)| {
+                let resp = Response {
+                    status: *status,
+                    body: vec![b'x'; *len],
+                    extra: extra.clone(),
+                    content_type: "application/json",
+                };
+                let text = response_head(&resp);
+                let head = parse_head(text.strip_suffix("\r\n\r\n").unwrap().as_bytes());
+                require_eq!(head.status(), Some(*status));
+                let mut want = vec![
+                    ("content-type".to_string(), "application/json".to_string()),
+                    ("content-length".to_string(), len.to_string()),
+                    ("connection".to_string(), "close".to_string()),
+                ];
+                want.extend(
+                    extra
+                        .iter()
+                        .map(|(n, v)| (n.to_ascii_lowercase(), v.clone())),
+                );
+                require_eq!(head.headers, want);
+                Ok(())
+            },
+        );
     }
 
     #[test]

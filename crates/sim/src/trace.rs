@@ -37,6 +37,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
 use duplo_isa::Kernel;
@@ -145,9 +146,8 @@ struct SinkInner {
 }
 
 /// A trace collector for the runs that carry it in
-/// [`crate::RunOptions::trace_sink`]. Clones share one buffer; equality is
-/// identity (which keeps [`crate::RunOptions`]'s `PartialEq` honest), and
-/// a sink is never part of a cache key.
+/// [`crate::RunOptions::trace_sink`]. Clones share one buffer, and a sink
+/// is never part of a cache key.
 #[derive(Clone)]
 pub struct TraceSink(Arc<SinkInner>);
 
@@ -159,12 +159,6 @@ impl fmt::Debug for TraceSink {
     }
 }
 
-impl PartialEq for TraceSink {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
 impl TraceSink {
     /// An empty sink recording every SM per `spec` and keeping at most
     /// `run_cap` run records ([`DEFAULT_RUN_CAP`] outside tests).
@@ -173,6 +167,14 @@ impl TraceSink {
             spec,
             runs: Mutex::new(Ring::new(run_cap)),
         }))
+    }
+
+    /// The sink a run's `trace_interval` asks for ([`TraceSpec`]'s default
+    /// interval when `None`), keeping [`DEFAULT_RUN_CAP`] runs.
+    pub fn for_interval(interval: Option<u64>) -> TraceSink {
+        let spec = TraceSpec::default();
+        let interval = interval.unwrap_or(spec.interval);
+        TraceSink::new(TraceSpec { interval, ..spec }, DEFAULT_RUN_CAP)
     }
 
     /// The per-SM recording spec of this sink.
@@ -341,20 +343,50 @@ fn counts(fields: &[(&str, u64)]) -> Json {
 }
 
 impl TraceData {
-    /// Serializes the session as a Chrome trace-event document (object
-    /// form, Perfetto-compatible). Timestamps are simulation cycles
-    /// interpreted as microseconds. The top level carries
-    /// `schema_version` so `json_check` accepts trace files, plus a
-    /// `dropped` block accounting for every capped buffer.
-    pub fn to_chrome_json(&self) -> Json {
-        let mut events: Vec<Json> = Vec::new();
-        let mut dropped_samples = 0u64;
-        let mut dropped_spans = 0u64;
+    /// Writes the session as a Chrome trace-event document (object form,
+    /// Perfetto-compatible) and returns the number of events written.
+    /// Timestamps are simulation cycles interpreted as microseconds. The
+    /// top level carries `schema_version` so `json_check` accepts trace
+    /// files, plus a `dropped` block accounting for every capped buffer.
+    /// Events are rendered and written one at a time, so memory stays flat
+    /// however long the timeline; the bytes are those of the whole
+    /// document through [`Json::to_pretty`].
+    pub fn write_chrome(&self, out: &mut impl Write) -> io::Result<usize> {
+        let dropped_samples: u64 = self.runs.iter().map(|r| r.dropped_samples).sum();
+        let dropped_spans: u64 = self.runs.iter().map(|r| r.dropped_spans).sum();
+        let head = [
+            ("schema_version", Json::from(crate::results::SCHEMA_VERSION)),
+            ("kind", Json::from("duplo_trace")),
+            ("trace_version", Json::from(TRACE_FORMAT_VERSION)),
+            ("interval", Json::from(self.interval)),
+            (
+                "dropped",
+                Json::obj()
+                    .field("runs", self.dropped_runs)
+                    .field("samples", dropped_samples)
+                    .field("cta_spans", dropped_spans)
+                    .build(),
+            ),
+        ];
+        let mut buf = String::from("{");
+        for (key, v) in &head {
+            buf.push_str(&format!("\n  \"{key}\": "));
+            v.write_pretty(&mut buf, 1);
+            buf.push(',');
+        }
+        buf.push_str("\n  \"traceEvents\": [");
+        out.write_all(buf.as_bytes())?;
+        let mut written = 0;
+        let mut emit = |event: Json| {
+            buf.clear();
+            buf.push_str(if written == 0 { "\n    " } else { ",\n    " });
+            event.write_pretty(&mut buf, 2);
+            written += 1;
+            out.write_all(buf.as_bytes())
+        };
         for (idx, run) in self.runs.iter().enumerate() {
             let pid = idx as u64 + 1;
-            dropped_samples += run.dropped_samples;
-            dropped_spans += run.dropped_spans;
-            events.push(
+            emit(
                 event_base("process_name", "M", pid)
                     .field(
                         "args",
@@ -363,9 +395,9 @@ impl TraceData {
                             .build(),
                     )
                     .build(),
-            );
+            )?;
             let end_cycle = run.samples.last().map_or(0, |s| s.cycle);
-            events.push(
+            emit(
                 event_base(run.kernel.as_str(), "X", pid)
                     .field("tid", 0u64)
                     .field("ts", 0u64)
@@ -381,25 +413,25 @@ impl TraceData {
                             .build(),
                     )
                     .build(),
-            );
+            )?;
             if run.cache_hit {
-                events.push(
+                emit(
                     event_base("cache hit", "i", pid)
                         .field("tid", 0u64)
                         .field("ts", 0u64)
                         .field("s", "p")
                         .build(),
-                );
+                )?;
             }
             for &(sm, span) in &run.cta_spans {
-                events.push(
+                emit(
                     event_base(&format!("cta {}", span.cta), "X", pid)
                         .field("tid", sm + 1)
                         .field("ts", span.begin)
                         .field("dur", span.end - span.begin)
                         .field("cat", "cta")
                         .build(),
-                );
+                )?;
             }
             let zero = SmSample::default();
             let mut prev = &zero;
@@ -498,26 +530,17 @@ impl TraceData {
                     ),
                 ];
                 for (name, args) in tracks {
-                    events.push(counter_event(name, pid, s.cycle, args));
+                    emit(counter_event(name, pid, s.cycle, args))?;
                 }
                 prev = s;
             }
         }
-        Json::obj()
-            .field("schema_version", crate::results::SCHEMA_VERSION)
-            .field("kind", "duplo_trace")
-            .field("trace_version", TRACE_FORMAT_VERSION)
-            .field("interval", self.interval)
-            .field(
-                "dropped",
-                Json::obj()
-                    .field("runs", self.dropped_runs)
-                    .field("samples", dropped_samples)
-                    .field("cta_spans", dropped_spans)
-                    .build(),
-            )
-            .field("traceEvents", Json::Arr(events))
-            .build()
+        if written == 0 {
+            out.write_all(b"]\n}\n")?;
+        } else {
+            out.write_all(b"\n  ]\n}\n")?;
+        }
+        Ok(written)
     }
 }
 
@@ -573,7 +596,7 @@ fn merge_windows(ws: &[Window]) -> Window {
 }
 
 /// Renders a human-readable phase table from a parsed trace document
-/// (as produced by [`TraceData::to_chrome_json`]), merging sample windows
+/// (as written by [`TraceData::write_chrome`]), merging sample windows
 /// into at most `max_phases` phases per run. Errors on documents that are
 /// not Duplo traces.
 pub fn summarize_chrome(doc: &Json, max_phases: usize) -> Result<String, String> {
@@ -751,6 +774,21 @@ mod tests {
     use duplo_mem::MemStats;
     use duplo_sm::SmStats;
 
+    /// The written document, parsed back, and its text.
+    fn export(data: &TraceData) -> (Json, String) {
+        let mut bytes = Vec::new();
+        let events = data.write_chrome(&mut bytes).unwrap();
+        let text = String::from_utf8(bytes).unwrap();
+        let doc = crate::json::parse(&text).expect("the export parses");
+        let listed = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert_eq!(
+            listed.len(),
+            events,
+            "the returned count is the events written"
+        );
+        (doc, text)
+    }
+
     #[test]
     fn ring_counts_drops_instead_of_truncating_silently() {
         let mut r: Ring<u32> = Ring::new(3);
@@ -865,10 +903,9 @@ mod tests {
             }],
             dropped_runs: 0,
         };
-        let doc = data.to_chrome_json();
-        // Round-trips through the strict in-tree parser.
-        let parsed = crate::json::parse(&doc.to_pretty()).unwrap();
-        assert_eq!(parsed, doc);
+        let (doc, text) = export(&data);
+        // The streamed bytes are the parsed document's pretty form.
+        assert_eq!(doc.to_pretty(), text);
         assert_eq!(
             doc.get("schema_version").and_then(Json::as_u64),
             Some(crate::results::SCHEMA_VERSION)
@@ -890,7 +927,7 @@ mod tests {
             runs: vec![],
             dropped_runs: 3,
         };
-        let table = summarize_chrome(&data.to_chrome_json(), 16).unwrap();
+        let table = summarize_chrome(&export(&data).0, 16).unwrap();
         assert!(table.contains("WARNING"), "table:\n{table}");
         assert!(table.contains("UNDER-REPORTS"), "table:\n{table}");
         assert!(table.contains("runs=3"), "table:\n{table}");

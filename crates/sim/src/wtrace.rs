@@ -812,8 +812,8 @@ enum Session {
 }
 
 /// A record or replay session for the runs that carry it in
-/// [`crate::RunOptions::wtrace`]. Clones share one session; equality is
-/// identity, and a session is never part of a cache key.
+/// [`crate::RunOptions::wtrace`]. Clones share one session, and a session
+/// is never part of a cache key.
 #[derive(Clone)]
 pub struct WtraceSession(Arc<Session>);
 
@@ -823,12 +823,6 @@ impl fmt::Debug for WtraceSession {
             Session::Record(_) => f.write_str("WtraceSession::Record"),
             Session::Replay { .. } => f.write_str("WtraceSession::Replay"),
         }
-    }
-}
-
-impl PartialEq for WtraceSession {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 

@@ -40,13 +40,12 @@ fn unique_cfg() -> GpuConfig {
 /// turns an expected memory hit into a second simulation.
 static MEMORY_TIER: RwLock<()> = RwLock::new(());
 
-/// Cache controls with the disk tier at `dir` (`None`: memory only).
-fn ctl(dir: Option<std::path::PathBuf>) -> cache::CacheCtl {
+/// Cached runs with the disk tier at `dir` (`None`: memory only).
+fn ctl(dir: Option<std::path::PathBuf>) -> RunOptions {
     RunOptions {
         cache_dir: dir,
         ..RunOptions::default()
     }
-    .cache_ctl()
 }
 
 /// Runs that bypass the cache (the simulator really runs).
@@ -62,12 +61,12 @@ fn uncached() -> RunOptions {
 /// `GpuSim::run` is uncached, so it cannot re-enter the cache under the
 /// same key (which would self-deadlock the single-flight slot).
 fn counted_run(
-    ctl: &cache::CacheCtl,
+    ctl: &RunOptions,
     cfg: &GpuConfig,
     kernel: &GemmTcKernel,
     sims: &AtomicUsize,
 ) -> (String, CacheStats) {
-    let (r, lookup) = cache::run_cached_ctl(ctl, cfg, kernel, || {
+    let (r, lookup) = cache::run_cached(ctl, cfg, kernel, || {
         sims.fetch_add(1, Ordering::SeqCst);
         GpuSim::with_options(cfg.clone(), uncached()).run(kernel)
     });
@@ -215,11 +214,7 @@ fn memory_hit_is_byte_identical_and_skips_simulation() {
 
 #[test]
 fn disabled_cache_reports_no_lookup() {
-    let ctl = RunOptions {
-        no_cache: true,
-        ..RunOptions::default()
-    }
-    .cache_ctl();
+    let ctl = uncached();
     let cfg = unique_cfg();
     let kernel = GemmTcKernel::new(16, 16, 16, SmemPolicy::COnly);
     let sims = AtomicUsize::new(0);
@@ -334,7 +329,7 @@ fn single_flight_under_four_threads() {
             let sims = AtomicUsize::new(0);
             let lanes: Vec<usize> = (0..8).collect();
             let runs = runner::par_map_opt(Some(4), &lanes, |_| {
-                let (r, lookup) = cache::run_cached_ctl(&ctl, &cfg, &kernel, || {
+                let (r, lookup) = cache::run_cached(&ctl, &cfg, &kernel, || {
                     sims.fetch_add(1, Ordering::SeqCst);
                     expected.clone()
                 });

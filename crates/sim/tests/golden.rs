@@ -206,8 +206,13 @@ fn trace_export_golden() {
         &layer.lowered(),
         SmemPolicy::COnly,
     ));
-    let doc = sink.finish().to_chrome_json();
-    assert_golden("trace_export.json", &doc.to_pretty());
+    let mut bytes = Vec::new();
+    sink.finish()
+        .write_chrome(&mut bytes)
+        .expect("writing to memory");
+    let text = String::from_utf8(bytes).expect("the export is UTF-8");
+    assert_golden("trace_export.json", &text);
+    let doc = duplo_sim::json::parse(&text).expect("the export parses");
     assert_golden(
         "trace_summary.txt",
         &summarize_chrome(&doc, 16).expect("a duplo trace"),

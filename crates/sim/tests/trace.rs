@@ -19,7 +19,7 @@ use duplo_conv::ConvParams;
 use duplo_core::LhbConfig;
 use duplo_kernels::{GemmTcKernel, SmemPolicy};
 use duplo_sim::json::Json;
-use duplo_sim::trace::{DEFAULT_RUN_CAP, SmSample, TraceSink, TraceSpec};
+use duplo_sim::trace::{DEFAULT_RUN_CAP, SmSample, TraceData, TraceSink, TraceSpec};
 use duplo_sim::{GpuConfig, GpuSim, RunOptions};
 use duplo_tensor::Nhwc;
 
@@ -54,11 +54,18 @@ fn sink_every(interval: u64) -> TraceSink {
     )
 }
 
+/// The Chrome document `data` writes.
+fn export(data: &TraceData) -> String {
+    let mut bytes = Vec::new();
+    data.write_chrome(&mut bytes).expect("writing to memory");
+    String::from_utf8(bytes).expect("the export is UTF-8")
+}
+
 fn traced_export(threads: usize, interval: u64) -> String {
     let sink = sink_every(interval);
     let (kernel, cfg) = kernel_and_cfg();
     GpuSim::with_options(cfg, opts(threads, Some(&sink))).run(&kernel);
-    sink.finish().to_chrome_json().to_pretty()
+    export(&sink.finish())
 }
 
 #[test]
@@ -155,7 +162,7 @@ fn capped_buffers_report_drops() {
     );
     // The final (cap-exempt) sample still closes the timeline.
     assert!(run.samples.last().unwrap().cycle > 0);
-    let doc = data.to_chrome_json();
+    let doc = duplo_sim::json::parse(&export(&data)).unwrap();
     let dropped = doc.get("dropped").unwrap();
     let dget = |k: &str| dropped.get(k).and_then(Json::as_u64).unwrap();
     assert_eq!(dget("runs"), 1);

@@ -309,9 +309,24 @@ diff -r "$JSON_DIR/metrics_on" "$JSON_DIR/metrics_off" || {
 
 # Serve gate: the HTTP daemon must serve a registry submission
 # byte-identical to the direct CLI run, share its disk cache across the
-# process boundary (a warm submit reports hits>0 misses=0), reject unknown
-# experiments without dying, and drain cleanly on /v1/shutdown.
+# process boundary (a warm submit reports hits>0 misses=0), take a
+# submission's options to mean what the same settings mean to `duplo run`,
+# reject unknown experiments without dying, and drain cleanly on
+# /v1/shutdown. `duplo serve` takes only the run options it honours: an
+# output flag exits 2 before the daemon binds (the timeout catches a
+# daemon that starts anyway).
 echo "== serve: daemon round trip + warm disk cache + clean shutdown ==" >&2
+for flag in --json --trace-in; do
+    rc=0
+    timeout 10 target/release/duplo serve --addr 127.0.0.1:0 \
+        --port-file "$JSON_DIR/refused.port" "$flag" "$JSON_DIR/refused" \
+        2> "$JSON_DIR/serve_refused.txt" || rc=$?
+    if [ "$rc" -ne 2 ] || [ -e "$JSON_DIR/refused.port" ]; then
+        echo "duplo serve $flag exited $rc (want 2, before binding):" >&2
+        cat "$JSON_DIR/serve_refused.txt" >&2
+        exit 1
+    fi
+done
 SERVE_CACHE="$JSON_DIR/serve_cache"
 DUPLO_JSON_STABLE=1 DUPLO_CACHE_DIR="$SERVE_CACHE" \
     cargo run -q --release --offline -p duplo-bench --bin duplo -- \
@@ -338,6 +353,15 @@ cmp "$JSON_DIR/serve_direct.json" "$JSON_DIR/serve_body.json" || {
 grep -Eq 'cache: hits=[1-9][0-9]* misses=0' "$JSON_DIR/serve_submit.txt" || {
     echo "daemon submission was not served from the shared disk cache:" >&2
     cat "$JSON_DIR/serve_submit.txt" >&2
+    exit 1
+}
+DUPLO_JSON_STABLE=1 DUPLO_L2_SLICES=4 DUPLO_L2_HASH=mod \
+    target/release/duplo run smem_policy --sample 2 \
+    --json "$JSON_DIR/serve_sliced_direct.json" > /dev/null 2>&1
+target/release/duplo submit --addr "$SERVE_ADDR" smem_policy --sample 2 \
+    --l2-slices 4 --l2-hash mod > "$JSON_DIR/serve_sliced_body.json" 2> /dev/null
+cmp "$JSON_DIR/serve_sliced_direct.json" "$JSON_DIR/serve_sliced_body.json" || {
+    echo "submitted --l2-slices/--l2-hash differ from DUPLO_L2_SLICES/DUPLO_L2_HASH" >&2
     exit 1
 }
 if target/release/duplo submit --addr "$SERVE_ADDR" no_such_experiment \
