@@ -66,6 +66,16 @@ fn cmd_serve(args: &[String]) {
     })
     .unwrap_or_else(|msg| fail(&msg));
     let defaults = RunOptions::from_env().unwrap_or_else(|msg| fail(&msg));
+    // The output options are `duplo run`'s alone: their environment
+    // spellings are refused as their flags are.
+    for (set, var) in [
+        (defaults.json_dir.is_some(), "DUPLO_JSON_DIR"),
+        (defaults.trace.is_some(), "DUPLO_TRACE"),
+    ] {
+        if set {
+            fail(&format!("duplo serve does not take {var}"));
+        }
+    }
     let server = serve::Server::start(serve::ServeOptions {
         addr,
         workers,

@@ -180,7 +180,9 @@ pub struct Submit {
 
 /// Parses a `duplo submit` command line. Run options are checked by the
 /// rules `duplo run` applies and travel as the submission's `options`
-/// object: each option's last setting, in [`OPTIONS`] order.
+/// object: each option's last setting, in [`OPTIONS`] order. `--sample`
+/// and `--full` set one field, so only the later of the two travels, as
+/// only the later takes effect in `duplo run`.
 pub fn submit_request(args: &[String]) -> Result<Submit, String> {
     let (mut addr, mut name, mut shutdown, mut trace) = (None, None, false, false);
     let settings = options::parse_args(Command::Submit, args, |arg, rest| {
@@ -198,8 +200,15 @@ pub fn submit_request(args: &[String]) -> Result<Submit, String> {
         return Ok(Submit { addr, body: None });
     }
     let name = name.ok_or("submit requires an experiment name (or --shutdown)")?;
+    let last = |name| settings.iter().rposition(|(o, _)| o.name == name);
+    let overridden = match (last("sample_ctas"), last("full")) {
+        (Some(sample), Some(full)) if sample < full => Some("sample_ctas"),
+        (Some(_), Some(_)) => Some("full"),
+        _ => None,
+    };
     let wire: Vec<(String, Json)> = OPTIONS
         .iter()
+        .filter(|opt| Some(opt.name) != overridden)
         .filter_map(|opt| {
             let (_, v) = settings.iter().rev().find(|(o, _)| std::ptr::eq(*o, opt))?;
             Some((opt.wire?.to_string(), v.clone()))
@@ -451,6 +460,31 @@ mod tests {
         }
         let req = submit_request(&argv("--shutdown --addr 127.0.0.1:1")).unwrap();
         assert!(req.body.is_none());
+    }
+
+    /// `--sample` and `--full` set one field: the later one travels alone,
+    /// so the daemon simulates what `duplo run` does for the same line.
+    #[test]
+    fn submit_sends_the_later_of_sample_and_full() {
+        for (args, body) in [
+            (
+                "smem_policy --sample 3 --full",
+                "{\n  \"experiment\": \"smem_policy\",\n  \"options\": {\n    \"full\": true\n  }\n}\n",
+            ),
+            (
+                "smem_policy --full --sample 3",
+                "{\n  \"experiment\": \"smem_policy\",\n  \"options\": {\n    \"sample_ctas\": 3\n  }\n}\n",
+            ),
+        ] {
+            let req = submit_request(&argv(&format!("--addr 127.0.0.1:1 {args}"))).unwrap();
+            assert_eq!(req.body.as_deref(), Some(body), "{args}");
+            let run = RunOptions::from_cli(&argv(&args["smem_policy".len()..])).unwrap();
+            let sent = duplo_sim::json::parse(&req.body.unwrap()).unwrap();
+            let wire = RunOptions::default()
+                .merge_wire(sent.get("options").unwrap())
+                .unwrap();
+            assert_eq!(wire.sample_ctas, run.sample_ctas, "{args}");
+        }
     }
 
     #[test]

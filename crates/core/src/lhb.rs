@@ -9,6 +9,35 @@
 
 use crate::{LoadToken, PhysReg, SegmentKey};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A multiply-rotate hasher for the owner map's load tokens, which the SM
+/// numbers itself. SipHash's resistance to crafted keys buys nothing
+/// there, and nothing iterates the map, so its order is never observed.
+/// The oracle map keeps the default hasher: its keys derive from trace
+/// addresses, which a submitted trace chooses.
+#[derive(Copy, Clone, Default)]
+struct TokenHasher(u64);
+
+impl Hasher for TokenHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; rotate the well-mixed high bits into
+        // the low bits the table indexes by.
+        self.0.rotate_left(26)
+    }
+}
 
 /// LHB geometry.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -156,7 +185,7 @@ pub struct Lhb {
     /// Oracle storage.
     map: HashMap<(u64, u64, u16), Entry>,
     /// Owner-token -> location, for O(1) retirement release.
-    owners: HashMap<LoadToken, (u64, u64, u16)>,
+    owners: HashMap<LoadToken, (u64, u64, u16), BuildHasherDefault<TokenHasher>>,
     stats: LhbStats,
     clock: u64,
 }
@@ -200,7 +229,7 @@ impl Lhb {
             config,
             sets: vec![vec![None; config.ways]; num_sets],
             map: HashMap::new(),
-            owners: HashMap::new(),
+            owners: HashMap::default(),
             stats: LhbStats::default(),
             clock: 0,
         }

@@ -31,7 +31,9 @@ impl CacheConfig {
     }
 }
 
-#[derive(Copy, Clone, Debug)]
+/// One way of a set. `lru == 0` marks an invalid way: the access clock
+/// starts at 1, so every valid line carries a nonzero stamp.
+#[derive(Copy, Clone, Debug, Default)]
 struct Line {
     tag: u64,
     lru: u64,
@@ -60,10 +62,14 @@ impl CacheStats {
 
 /// A set-associative, LRU, allocate-on-miss cache model (tags only — data
 /// values live in the functional layer).
+///
+/// The tag store is one flat `sets × ways` array; set `s` is the slice
+/// `lines[s * ways..(s + 1) * ways]`.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Option<Line>>>,
+    sets: u64,
+    lines: Vec<Line>,
     clock: u64,
     stats: CacheStats,
 }
@@ -74,7 +80,8 @@ impl Cache {
         let sets = config.sets();
         Cache {
             config,
-            sets: vec![vec![None; config.ways]; sets],
+            sets: sets as u64,
+            lines: vec![Line::default(); sets * config.ways],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -90,63 +97,63 @@ impl Cache {
         self.stats
     }
 
-    fn locate(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.config.line_bytes as u64;
-        let set = (line % self.sets.len() as u64) as usize;
-        (set, line)
+    /// The ways of `addr`'s set and its tag (the line number).
+    fn locate(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
+        let lb = self.config.line_bytes as u64;
+        let line = if lb.is_power_of_two() {
+            addr >> lb.trailing_zeros()
+        } else {
+            addr / lb
+        };
+        let set = if self.sets.is_power_of_two() {
+            line & (self.sets - 1)
+        } else {
+            line % self.sets
+        };
+        let base = set as usize * self.config.ways;
+        (base..base + self.config.ways, line)
     }
 
     /// Looks up `addr`; on a miss the line is allocated (LRU victim
     /// displaced). Returns `true` on a hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.clock += 1;
-        let (set, tag) = self.locate(addr);
-        let clock = self.clock;
-        for slot in self.sets[set].iter_mut() {
-            if let Some(line) = slot {
-                if line.tag == tag {
-                    line.lru = clock;
-                    self.stats.hits += 1;
-                    return true;
-                }
-            }
+        let (ways, tag) = self.locate(addr);
+        let set = &mut self.lines[ways];
+        if let Some(line) = set.iter_mut().find(|l| l.tag == tag && l.lru != 0) {
+            line.lru = self.clock;
+            self.stats.hits += 1;
+            return true;
         }
         self.stats.misses += 1;
-        // Allocate: prefer an invalid way, else LRU.
+        // Allocate: the first way with the smallest stamp, which is the
+        // first invalid way if there is one (stamp 0), else the LRU way.
         let mut victim = 0;
-        let mut best = u64::MAX;
-        for (w, slot) in self.sets[set].iter().enumerate() {
-            match slot {
-                None => {
-                    victim = w;
-                    break;
-                }
-                Some(l) if l.lru < best => {
-                    best = l.lru;
-                    victim = w;
-                }
-                _ => {}
+        for (w, l) in set.iter().enumerate() {
+            if l.lru < set[victim].lru {
+                victim = w;
             }
         }
-        self.sets[set][victim] = Some(Line { tag, lru: clock });
+        set[victim] = Line {
+            tag,
+            lru: self.clock,
+        };
         false
     }
 
     /// Tag probe without allocation or stats (diagnostics).
     pub fn contains(&self, addr: u64) -> bool {
-        let (set, tag) = self.locate(addr);
-        self.sets[set]
-            .iter()
-            .any(|s| s.is_some_and(|l| l.tag == tag))
+        let (ways, tag) = self.locate(addr);
+        self.lines[ways].iter().any(|l| l.tag == tag && l.lru != 0)
     }
 
     /// Invalidates a line if present (used for store-through coherence in
     /// tests; the GEMM kernels never store to cached input data).
     pub fn invalidate(&mut self, addr: u64) {
-        let (set, tag) = self.locate(addr);
-        for slot in self.sets[set].iter_mut() {
-            if slot.is_some_and(|l| l.tag == tag) {
-                *slot = None;
+        let (ways, tag) = self.locate(addr);
+        for l in &mut self.lines[ways] {
+            if l.tag == tag {
+                l.lru = 0;
             }
         }
     }

@@ -1,8 +1,6 @@
 //! Miss-status holding registers: merge outstanding misses to the same line
 //! and bound the number of in-flight fills.
 
-use std::collections::HashMap;
-
 use crate::ServiceLevel;
 
 /// Result of consulting the MSHR for a missing line.
@@ -35,11 +33,22 @@ struct Fill {
 }
 
 /// The MSHR file of one cache.
+///
+/// The file is a fixed-capacity array: entry `i` tracks line `lines[i]`
+/// with fill `fills[i]`, and `earliest` caches the smallest recorded fill
+/// cycle. [`Mshr::expire`] returns at once while nothing can have completed,
+/// and [`Mshr::next_fill`] reads the cached value; every change to the file
+/// keeps it exact. Entry order is never observed.
 #[derive(Clone, Debug)]
 pub struct Mshr {
     capacity: usize,
-    /// line address -> outstanding fill (completion cycle + service level).
-    pending: HashMap<u64, Fill>,
+    /// Line address of each outstanding fill.
+    lines: Vec<u64>,
+    /// The fill of the line at the same index.
+    fills: Vec<Fill>,
+    /// The earliest recorded (non-provisional) fill cycle, `u64::MAX` when
+    /// none is recorded.
+    earliest: u64,
     /// Peak simultaneous occupancy (diagnostics).
     peak: usize,
     /// Secondary misses merged.
@@ -54,7 +63,9 @@ impl Mshr {
         assert!(capacity > 0, "MSHR needs at least one entry");
         Mshr {
             capacity,
-            pending: HashMap::new(),
+            lines: Vec::with_capacity(capacity),
+            fills: Vec::with_capacity(capacity),
+            earliest: u64::MAX,
             peak: 0,
             merges: 0,
             stalls: 0,
@@ -63,7 +74,34 @@ impl Mshr {
 
     /// Retires entries whose fills completed at or before `cycle`.
     pub fn expire(&mut self, cycle: u64) {
-        self.pending.retain(|_, fill| fill.cycle > cycle);
+        if cycle < self.earliest {
+            return;
+        }
+        let mut i = 0;
+        while i < self.lines.len() {
+            if self.fills[i].cycle <= cycle {
+                self.lines.swap_remove(i);
+                self.fills.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        self.recompute_earliest();
+    }
+
+    fn recompute_earliest(&mut self) {
+        self.earliest = self
+            .fills
+            .iter()
+            .map(|f| f.cycle)
+            .filter(|&c| c != u64::MAX)
+            .min()
+            .unwrap_or(u64::MAX);
+    }
+
+    /// The index of `line_addr`'s entry.
+    fn find(&self, line_addr: u64) -> Option<usize> {
+        self.lines.iter().rposition(|&l| l == line_addr)
     }
 
     /// Returns the completion cycle and service level of an outstanding
@@ -71,7 +109,8 @@ impl Mshr {
     /// first).
     pub fn pending_fill(&mut self, cycle: u64, line_addr: u64) -> Option<(u64, ServiceLevel)> {
         self.expire(cycle);
-        self.pending.get(&line_addr).map(|f| (f.cycle, f.level))
+        self.find(line_addr)
+            .map(|i| (self.fills[i].cycle, self.fills[i].level))
     }
 
     /// Counts a secondary miss merged outside [`Mshr::lookup`].
@@ -82,27 +121,25 @@ impl Mshr {
     /// Consults the MSHR for a miss on `line_addr` at `cycle`.
     pub fn lookup(&mut self, cycle: u64, line_addr: u64) -> MshrOutcome {
         self.expire(cycle);
-        if let Some(&fill) = self.pending.get(&line_addr) {
+        if let Some(i) = self.find(line_addr) {
             self.merges += 1;
             return MshrOutcome::Merged {
-                fill_cycle: fill.cycle,
-                level: fill.level,
+                fill_cycle: self.fills[i].cycle,
+                level: self.fills[i].level,
             };
         }
-        if self.pending.len() >= self.capacity {
+        if self.lines.len() >= self.capacity {
             self.stalls += 1;
             return MshrOutcome::Full;
         }
         // Reserve the slot with a provisional far-future fill; the caller
         // must overwrite it via `record_fill`.
-        self.pending.insert(
-            line_addr,
-            Fill {
-                cycle: u64::MAX,
-                level: ServiceLevel::Dram,
-            },
-        );
-        self.peak = self.peak.max(self.pending.len());
+        self.lines.push(line_addr);
+        self.fills.push(Fill {
+            cycle: u64::MAX,
+            level: ServiceLevel::Dram,
+        });
+        self.peak = self.peak.max(self.lines.len());
         MshrOutcome::Allocated
     }
 
@@ -114,17 +151,24 @@ impl Mshr {
     /// to be silently ignored, which hid exactly the accounting bugs the
     /// exported counters are meant to surface.
     pub fn record_fill(&mut self, line_addr: u64, fill_cycle: u64, level: ServiceLevel) {
-        match self.pending.get_mut(&line_addr) {
-            Some(slot) => {
-                *slot = Fill {
-                    cycle: fill_cycle,
-                    level,
-                }
-            }
-            None => debug_assert!(
+        let Some(i) = self.find(line_addr) else {
+            debug_assert!(
                 false,
                 "record_fill for line {line_addr:#x} without a reservation"
-            ),
+            );
+            return;
+        };
+        let old = std::mem::replace(
+            &mut self.fills[i],
+            Fill {
+                cycle: fill_cycle,
+                level,
+            },
+        );
+        if fill_cycle != u64::MAX && fill_cycle <= self.earliest {
+            self.earliest = fill_cycle;
+        } else if old.cycle == self.earliest {
+            self.recompute_earliest();
         }
     }
 
@@ -135,11 +179,15 @@ impl Mshr {
     /// abort, otherwise the reservation never expires and permanently eats
     /// one entry of MSHR capacity.
     pub fn abort(&mut self, line_addr: u64) {
-        let removed = self.pending.remove(&line_addr);
-        debug_assert!(
-            removed.is_some(),
-            "abort for line {line_addr:#x} without a reservation"
-        );
+        let Some(i) = self.find(line_addr) else {
+            debug_assert!(false, "abort for line {line_addr:#x} without a reservation");
+            return;
+        };
+        self.lines.swap_remove(i);
+        let removed = self.fills.swap_remove(i);
+        if removed.cycle == self.earliest {
+            self.recompute_earliest();
+        }
     }
 
     /// Number of merged (secondary) misses.
@@ -154,7 +202,7 @@ impl Mshr {
 
     /// Current outstanding fills.
     pub fn occupancy(&self) -> usize {
-        self.pending.len()
+        self.lines.len()
     }
 
     /// The earliest recorded fill completion among outstanding entries
@@ -162,11 +210,7 @@ impl Mshr {
     /// at an unknown time). `None` when nothing with a known fill time is
     /// outstanding.
     pub fn next_fill(&self) -> Option<u64> {
-        self.pending
-            .values()
-            .map(|f| f.cycle)
-            .filter(|&f| f != u64::MAX)
-            .min()
+        (self.earliest != u64::MAX).then_some(self.earliest)
     }
 
     /// Peak simultaneous occupancy observed so far (high-water mark).

@@ -37,9 +37,9 @@ use crate::ldst::{Inflight, LdstUnit, MemKind};
 use crate::regfile::PhysRegFile;
 use crate::stats::{SmStats, StallBreakdown};
 use crate::trace::{SmGauges, SmSample, SmTraceData, SmTracer, TraceSpec};
-use crate::warp::WarpCtx;
+use crate::warp::{ReadyCycle, WarpCtx};
 use duplo_core::{DetectionUnit, LoadDecision, LoadToken, PhysReg};
-use duplo_isa::{ArchReg, Kernel, Op, Space};
+use duplo_isa::{CtaTrace, Kernel, Op, Space};
 use duplo_mem::MemoryHierarchy;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -105,7 +105,17 @@ pub struct Sm {
     config: SmConfig,
     cycle: u64,
     warps: Vec<Option<WarpCtx>>,
+    /// Empty slots of `warps`.
+    free_warps: usize,
+    /// Per-scheduler resident warp slots in launch order, oldest first
+    /// (the GTO order).
+    order: Vec<Vec<usize>>,
     ctas: Vec<Option<CtaState>>,
+    /// Empty slots of `ctas`.
+    free_ctas: usize,
+    /// The CTA that last failed to launch for want of warp slots, with its
+    /// trace, kept so the retry every tick does not regenerate it.
+    waiting: Option<(usize, CtaTrace)>,
     shared_in_use: u32,
     ldst: Vec<LdstUnit>,
     tc_busy: Vec<Vec<u64>>,
@@ -115,7 +125,6 @@ pub struct Sm {
     detect: Option<DetectionUnit>,
     retire_queue: BinaryHeap<Reverse<(u64, u64)>>,
     next_token: u64,
-    next_age: u64,
     /// preg -> fill address, for the rename validation log.
     fill_addr: HashMap<u32, u64>,
     stats: SmStats,
@@ -177,19 +186,11 @@ fn classify_stall(stalls: &mut StallBreakdown, blocked: &StallBreakdown, n: u64)
 /// the register is still pending after `cycle` and records finite ready
 /// cycles as wake events (`u64::MAX` means "unknown until a load lands",
 /// which some other event must resolve first).
-fn dep_event(
-    pending: &HashMap<ArchReg, u64>,
-    reg: ArchReg,
-    cycle: u64,
-    wake: &mut u64,
-    ready: &mut bool,
-) {
-    if let Some(&r) = pending.get(&reg) {
-        if r > cycle {
-            *ready = false;
-            if r != u64::MAX {
-                *wake = (*wake).min(r);
-            }
+fn dep_event(r: ReadyCycle, cycle: u64, wake: &mut u64, ready: &mut bool) {
+    if r > cycle {
+        *ready = false;
+        if r != u64::MAX {
+            *wake = (*wake).min(r);
         }
     }
 }
@@ -223,14 +224,17 @@ impl Sm {
                 .collect(),
             last_warp: vec![None; config.schedulers],
             warps: (0..config.max_warps).map(|_| None).collect(),
+            free_warps: config.max_warps,
+            order: vec![Vec::new(); config.schedulers],
             ctas: (0..config.max_ctas).map(|_| None).collect(),
+            free_ctas: config.max_ctas,
+            waiting: None,
             shared_in_use: 0,
             regfile: PhysRegFile::new(config.regfile_rows()),
             hierarchy,
             detect,
             retire_queue: BinaryHeap::new(),
             next_token: 1,
-            next_age: 0,
             fill_addr: HashMap::new(),
             stats: SmStats::default(),
             tracer: None,
@@ -263,19 +267,27 @@ impl Sm {
 
     /// Attempts to launch CTA `idx` of `kernel`; returns `false` when SM
     /// resources (CTA slots, warp slots, shared memory) are exhausted.
+    /// A CTA refused for want of warp slots keeps its trace until the
+    /// same index is tried again, so each trace is generated once.
     pub fn try_launch(&mut self, kernel: &dyn Kernel, idx: usize) -> bool {
         let shared = kernel.shared_mem_per_cta();
-        if self.shared_in_use + shared > self.config.shared_mem_bytes {
+        if self.shared_in_use + shared > self.config.shared_mem_bytes || self.free_ctas == 0 {
             return false;
         }
-        let Some(cta_slot) = self.ctas.iter().position(|c| c.is_none()) else {
-            return false;
+        let trace = match self.waiting.take() {
+            Some((i, trace)) if i == idx => trace,
+            _ => kernel.cta(idx),
         };
-        let trace = kernel.cta(idx);
-        let free_slots = self.warps.iter().filter(|w| w.is_none()).count();
-        if free_slots < trace.warps.len() {
+        if self.free_warps < trace.warps.len() {
+            self.waiting = Some((idx, trace));
             return false;
         }
+        let cta_slot = self
+            .ctas
+            .iter()
+            .position(|c| c.is_none())
+            .expect("counted a free CTA slot");
+        self.free_ctas -= 1;
         self.ctas[cta_slot] = Some(CtaState {
             live_warps: trace.warps.len(),
             at_barrier: 0,
@@ -286,22 +298,24 @@ impl Sm {
         if let Some(t) = self.tracer.as_mut() {
             t.cta_begin(cta_slot, idx, launch_cycle);
         }
+        let scheds = self.config.schedulers;
         for wt in trace.warps {
             let slot = self
                 .warps
                 .iter()
                 .position(|w| w.is_none())
                 .expect("checked free slots");
-            self.warps[slot] = Some(WarpCtx::new(wt.ops, cta_slot, self.next_age));
-            self.run_mask[slot % self.config.schedulers] |= 1 << (slot / self.config.schedulers);
-            self.next_age += 1;
+            self.warps[slot] = Some(WarpCtx::new(wt.ops, cta_slot));
+            self.free_warps -= 1;
+            self.run_mask[slot % scheds] |= 1 << (slot / scheds);
+            self.order[slot % scheds].push(slot);
         }
         true
     }
 
     /// Whether all work (warps + LDST pipes) has drained.
     pub fn idle(&self) -> bool {
-        self.warps.iter().all(|w| w.is_none()) && self.ldst.iter().all(|u| u.is_empty())
+        self.free_warps == self.warps.len() && self.ldst.iter().all(|u| u.is_empty())
     }
 
     /// Current cycle.
@@ -404,22 +418,14 @@ impl Sm {
                     continue;
                 };
                 let mut ready = true;
-                for src in op.srcs().into_iter().flatten() {
-                    dep_event(&wc.pending, src, c, &mut wake, &mut ready);
-                }
-                if let Some(dst) = op.dst() {
-                    dep_event(&wc.pending, dst, c, &mut wake, &mut ready);
+                for reg in op.srcs().into_iter().chain([op.dst()]).flatten() {
+                    dep_event(wc.ready_at(reg), c, &mut wake, &mut ready);
                 }
                 if matches!(op, Op::Exit) {
                     // Exit drains the whole scoreboard, not just its own
                     // operands.
-                    for &r in wc.pending.values() {
-                        if r > c {
-                            ready = false;
-                            if r != u64::MAX {
-                                wake = wake.min(r);
-                            }
-                        }
+                    for &r in &wc.pending {
+                        dep_event(r, c, &mut wake, &mut ready);
                     }
                 }
                 match op {
@@ -490,8 +496,8 @@ impl Sm {
                     blocked.data_dependency += 1;
                     continue;
                 };
-                let dep_blocked = !wc.deps_ready(op, c)
-                    || (matches!(op, Op::Exit) && wc.pending.values().any(|&r| r > c));
+                let dep_blocked =
+                    !wc.deps_ready(op, c) || (matches!(op, Op::Exit) && wc.writes_pending(c));
                 if dep_blocked {
                     blocked.data_dependency += 1;
                 } else {
@@ -555,6 +561,10 @@ impl Sm {
     }
 
     fn resolve_barriers(&mut self) {
+        // A CTA can release only if one of its warps is parked.
+        if self.barrier_mask.iter().all(|&m| m == 0) {
+            return;
+        }
         let scheds = self.config.schedulers;
         for cta_slot in 0..self.ctas.len() {
             let release = match &self.ctas[cta_slot] {
@@ -582,15 +592,8 @@ impl Sm {
     /// Scheduler `s` tries to issue one instruction (GTO or LRR order).
     fn tick_scheduler(&mut self, s: usize) {
         let scheds = self.config.schedulers;
-        let mut candidates = std::mem::take(&mut self.cand_scratch);
-        candidates.clear();
-        let mut m = self.run_mask[s];
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            m &= m - 1;
-            candidates.push(b * scheds + s);
-        }
-        if candidates.is_empty() {
+        let run = self.run_mask[s];
+        if run == 0 {
             // Attribute the idle slot: a scheduler whose live warps are all
             // parked at a barrier is stalled on synchronization, not empty.
             if self.barrier_mask[s] != 0 {
@@ -598,20 +601,31 @@ impl Sm {
             } else {
                 self.stats.stalls.empty += 1;
             }
-            self.cand_scratch = candidates;
             return;
         }
+        let runnable = |w: usize| run & (1 << (w / scheds)) != 0;
+        let mut candidates = std::mem::take(&mut self.cand_scratch);
+        candidates.clear();
         match self.config.policy {
             SchedulerPolicy::Gto => {
-                candidates.sort_by_key(|&w| self.warps[w].as_ref().map_or(u64::MAX, |wc| wc.age));
-                if let Some(last) = self.last_warp[s] {
-                    if let Some(pos) = candidates.iter().position(|&w| w == last) {
-                        let w = candidates.remove(pos);
-                        candidates.insert(0, w);
-                    }
-                }
+                // Greedy: the last warp to issue goes first while it can
+                // run; then the others oldest first (launch order).
+                let last = self.last_warp[s].filter(|&w| runnable(w));
+                candidates.extend(last);
+                candidates.extend(
+                    self.order[s]
+                        .iter()
+                        .copied()
+                        .filter(|&w| runnable(w) && Some(w) != last),
+                );
             }
             SchedulerPolicy::Lrr => {
+                let mut m = run;
+                while m != 0 {
+                    let b = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    candidates.push(b * scheds + s);
+                }
                 // Rotate so the warp after the last-issued goes first.
                 if let Some(last) = self.last_warp[s] {
                     let pivot = candidates.iter().position(|&w| w > last).unwrap_or(0);
@@ -696,11 +710,12 @@ impl Sm {
             Op::Exit => {
                 // Drain: wait for all pending writes before exiting so that
                 // binding release cannot race in-flight loads.
+                if self.warps[w]
+                    .as_ref()
+                    .expect("exists")
+                    .writes_pending(cycle)
                 {
-                    let wc = self.warps[w].as_ref().expect("exists");
-                    if wc.pending.values().any(|&r| r > cycle) {
-                        return IssueResult::DepBlocked;
-                    }
+                    return IssueResult::DepBlocked;
                 }
                 self.finish_warp(w);
                 self.stats.issued_other += 1;
@@ -1102,10 +1117,8 @@ impl Sm {
         if let Some(dst) = infl.dst {
             let wc = self.warps[infl.warp].as_mut().expect("live warp");
             wc.resolve_pending(dst, ready);
-            let old = wc.bindings.insert(dst, infl.pregs);
-            if let Some(old_pregs) = old {
-                self.release_into_pool(old_pregs);
-            }
+            let old = wc.bind(dst, infl.pregs);
+            self.release_into_pool(old);
         } else {
             self.release_into_pool(infl.pregs);
         }
@@ -1116,15 +1129,21 @@ impl Sm {
         for &p in &pregs {
             self.regfile.release(p);
         }
-        pregs.clear();
-        self.preg_pool.push(pregs);
+        if pregs.capacity() > 0 {
+            pregs.clear();
+            self.preg_pool.push(pregs);
+        }
     }
 
-    /// Issues warp exit: release every binding, update CTA accounting.
+    /// Issues warp exit: release every binding (in register order), update
+    /// CTA accounting.
     fn finish_warp(&mut self, w: usize) {
         let wc = self.warps[w].take().expect("warp exists");
-        self.run_mask[w % self.config.schedulers] &= !(1u64 << (w / self.config.schedulers));
-        for (_, pregs) in wc.bindings {
+        let s = w % self.config.schedulers;
+        self.free_warps += 1;
+        self.run_mask[s] &= !(1u64 << (w / self.config.schedulers));
+        self.order[s].retain(|&x| x != w);
+        for pregs in wc.bindings {
             self.release_into_pool(pregs);
         }
         let cta = self.ctas[wc.cta_slot].as_mut().expect("live cta");
@@ -1132,6 +1151,7 @@ impl Sm {
         if cta.live_warps == 0 {
             self.shared_in_use -= cta.shared_bytes;
             self.ctas[wc.cta_slot] = None;
+            self.free_ctas += 1;
             self.stats.ctas_run += 1;
             let cycle = self.cycle;
             if let Some(t) = self.tracer.as_mut() {

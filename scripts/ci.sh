@@ -39,6 +39,18 @@ cargo test -q --offline
 echo "== benchmark: cargo test --manifest-path benchmark/Cargo.toml ==" >&2
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+# Digest gate: the benchmark's grids must still simulate to the committed
+# digest tables, so a change to the simulator's results fails here rather
+# than only when the benchmark next runs.
+echo "== benchmark: digests match benchmark/expected ==" >&2
+for grid in layer_sweep stream_sliced; do
+    cmp <(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml \
+        --bin duplo-benchmark -- digests "$grid") "benchmark/expected/$grid.json" || {
+        echo "duplo-benchmark digests $grid differs from benchmark/expected/$grid.json" >&2
+        exit 1
+    }
+done
+
 # Determinism gate: the parallel experiment engine must render
 # byte-identical tables at any thread count. Run the dedicated suite once
 # with the serial fallback and once with a 4-worker pool.
@@ -313,16 +325,20 @@ diff -r "$JSON_DIR/metrics_on" "$JSON_DIR/metrics_off" || {
 # submission's options to mean what the same settings mean to `duplo run`,
 # reject unknown experiments without dying, and drain cleanly on
 # /v1/shutdown. `duplo serve` takes only the run options it honours: an
-# output flag exits 2 before the daemon binds (the timeout catches a
-# daemon that starts anyway).
+# output flag or its environment variable exits 2 before the daemon binds
+# (the timeout catches a daemon that starts anyway).
 echo "== serve: daemon round trip + warm disk cache + clean shutdown ==" >&2
-for flag in --json --trace-in; do
+for refused in --json --trace-in DUPLO_JSON_DIR DUPLO_TRACE; do
+    case "$refused" in
+        --*) flag=("$refused" "$JSON_DIR/refused") var=() ;;
+        *) flag=() var=("$refused=$JSON_DIR/refused") ;;
+    esac
     rc=0
-    timeout 10 target/release/duplo serve --addr 127.0.0.1:0 \
-        --port-file "$JSON_DIR/refused.port" "$flag" "$JSON_DIR/refused" \
+    env "${var[@]}" timeout 10 target/release/duplo serve --addr 127.0.0.1:0 \
+        --port-file "$JSON_DIR/refused.port" "${flag[@]}" \
         2> "$JSON_DIR/serve_refused.txt" || rc=$?
     if [ "$rc" -ne 2 ] || [ -e "$JSON_DIR/refused.port" ]; then
-        echo "duplo serve $flag exited $rc (want 2, before binding):" >&2
+        echo "duplo serve $refused exited $rc (want 2, before binding):" >&2
         cat "$JSON_DIR/serve_refused.txt" >&2
         exit 1
     fi
