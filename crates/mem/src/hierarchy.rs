@@ -423,40 +423,32 @@ impl MemoryHierarchy {
             self.stats.l1_hits += 1;
             return Some((cycle + l1_lat, ServiceLevel::L1));
         }
-        match self.mshr.lookup(cycle, line) {
-            MshrOutcome::Full => {
-                // The L1 already allocated the tag; a retried access would
-                // spuriously hit the freshly allocated line, so roll the
-                // allocation back by invalidating it. The miss itself is
-                // NOT counted here: the same logical access retries until
-                // accepted and must contribute exactly one miss (counting
-                // each rejected attempt inflated miss rates under MSHR
-                // pressure).
-                self.l1.invalidate(addr);
-                None
-            }
-            MshrOutcome::Merged { fill_cycle, level } => {
-                self.stats.l1_misses += 1;
-                self.stats.mshr_merges += 1;
-                Some((fill_cycle.max(cycle + l1_lat), level))
-            }
-            MshrOutcome::Allocated => {
-                self.stats.l1_misses += 1;
-                self.stats.l2_accesses += 1;
-                let line_bytes = self.config.l1.line_bytes as u32;
-                let _ = bytes;
-                let (fill, level) = self.backend.fetch(
-                    &self.config,
-                    &mut self.stats,
-                    cycle + l1_lat,
-                    addr,
-                    line,
-                    line_bytes,
-                );
-                self.mshr.record_fill(line, fill, level);
-                Some((fill, level))
-            }
+        // `pending_fill` found no fill for this line at this cycle, so the
+        // miss can only allocate or find the file full.
+        if !self.mshr.reserve(line) {
+            // The L1 already allocated the tag; a retried access would
+            // spuriously hit the freshly allocated line, so roll the
+            // allocation back by invalidating it. The miss itself is NOT
+            // counted here: the same logical access retries until accepted
+            // and must contribute exactly one miss (counting each rejected
+            // attempt inflated miss rates under MSHR pressure).
+            self.l1.invalidate(addr);
+            return None;
         }
+        self.stats.l1_misses += 1;
+        self.stats.l2_accesses += 1;
+        let line_bytes = self.config.l1.line_bytes as u32;
+        let _ = bytes;
+        let (fill, level) = self.backend.fetch(
+            &self.config,
+            &mut self.stats,
+            cycle + l1_lat,
+            addr,
+            line,
+            line_bytes,
+        );
+        self.mshr.record_fill(line, fill, level);
+        Some((fill, level))
     }
 
     /// Issues a write-through store (no allocate, no dependency): consumes

@@ -128,9 +128,26 @@ impl Mshr {
                 level: self.fills[i].level,
             };
         }
+        if self.reserve(line_addr) {
+            MshrOutcome::Allocated
+        } else {
+            MshrOutcome::Full
+        }
+    }
+
+    /// Reserves an entry for a miss on `line_addr`, which must have no
+    /// outstanding fill: call it right after [`Mshr::pending_fill`]
+    /// returned `None` for the same line and cycle, when [`Mshr::lookup`]
+    /// could only allocate or report full and its scan would find nothing.
+    /// Returns `false` (and counts a stall) when every entry is busy.
+    pub fn reserve(&mut self, line_addr: u64) -> bool {
+        debug_assert!(
+            self.find(line_addr).is_none(),
+            "reserve for line {line_addr:#x} with a fill outstanding"
+        );
         if self.lines.len() >= self.capacity {
             self.stalls += 1;
-            return MshrOutcome::Full;
+            return false;
         }
         // Reserve the slot with a provisional far-future fill; the caller
         // must overwrite it via `record_fill`.
@@ -140,7 +157,7 @@ impl Mshr {
             level: ServiceLevel::Dram,
         });
         self.peak = self.peak.max(self.lines.len());
-        MshrOutcome::Allocated
+        true
     }
 
     /// Records the actual completion cycle and service level of the fill

@@ -229,6 +229,12 @@ enum MshrOp {
         cycle: u64,
         line: u64,
     },
+    /// The L1 miss path: `pending_fill`, then `reserve` when it found no
+    /// fill (the reference answers with a full `lookup`).
+    Reserve {
+        cycle: u64,
+        line: u64,
+    },
     Expire(u64),
     /// Records a fill for the `k`-th outstanding line (reservations and
     /// already recorded fills alike).
@@ -249,7 +255,7 @@ fn mshr_case(rng: &mut Rng) -> Option<(usize, Vec<MshrOp>)> {
         .map(|_| {
             let cycle = rng.gen_range(0u64..200);
             let line = rng.gen_range(0u64..12);
-            match rng.gen_range(0u32..12) {
+            match rng.gen_range(0u32..14) {
                 0..=3 => MshrOp::Lookup { cycle, line },
                 4..=5 => MshrOp::PendingFill { cycle, line },
                 6 => MshrOp::Expire(cycle),
@@ -264,7 +270,8 @@ fn mshr_case(rng: &mut Rng) -> Option<(usize, Vec<MshrOp>)> {
                     level: [ServiceLevel::L2, ServiceLevel::Dram][rng.gen_index(2)],
                 },
                 10 => MshrOp::Abort(rng.gen_index(8)),
-                _ => MshrOp::NoteMerge,
+                11 => MshrOp::NoteMerge,
+                _ => MshrOp::Reserve { cycle, line },
             }
         })
         .collect();
@@ -295,6 +302,18 @@ fn array_mshr_matches_the_hashmap_reference() {
                             reference.pending_fill(cycle, line),
                             "op {i}"
                         );
+                    }
+                    MshrOp::Reserve { cycle, line } => {
+                        let pending = mshr.pending_fill(cycle, line);
+                        require_eq!(pending, reference.pending_fill(cycle, line), "op {i}");
+                        if pending.is_none() {
+                            let allocated = match reference.lookup(cycle, line) {
+                                MshrOutcome::Allocated => true,
+                                MshrOutcome::Full => false,
+                                merged => return Err(format!("op {i}: reference {merged:?}")),
+                            };
+                            require_eq!(mshr.reserve(line), allocated, "op {i}");
+                        }
                     }
                     MshrOp::Expire(cycle) => {
                         mshr.expire(cycle);

@@ -102,6 +102,14 @@ fn soak(threads: usize, sample: usize) {
         cache_dir: Some(cache_dir.clone()),
         ..RunOptions::default()
     };
+    // The request counters and the in-flight gauge are process-wide
+    // telemetry, so the two soak variants take turns from server start to
+    // join: otherwise the other variant's health check, digest fetch or
+    // shutdown could sit inside a handler while this one's scraper reads
+    // the gauge (the cache assertions read per-reply headers and need no
+    // lock).
+    static COUNTERS: Mutex<()> = Mutex::new(());
+    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let server = Server::start(ServeOptions {
         addr: "127.0.0.1:0".to_string(),
         workers: 4,
@@ -117,11 +125,6 @@ fn soak(threads: usize, sample: usize) {
     let name = "smem_policy";
     let body = submission_body(name, sample);
 
-    // The request counters are process-wide telemetry, so the two soak
-    // variants take turns for the span of this one delta (the cache
-    // assertions read per-reply headers and need no lock).
-    static COUNTERS: Mutex<()> = Mutex::new(());
-    let turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let submit_ok = "duplo_serve_requests_total{route=\"/v1/submit\",status=\"200\"}";
     let submits_before = scrape_metric(&addr, submit_ok);
 
@@ -176,7 +179,6 @@ fn soak(threads: usize, sample: usize) {
     // Request accounting: both storms' submissions — and nothing else —
     // landed on the /v1/submit 200 counter.
     let submits_after = scrape_metric(&addr, submit_ok);
-    drop(turn);
     assert_eq!(
         submits_after - submits_before,
         2 * CLIENTS as i64,

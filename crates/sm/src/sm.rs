@@ -14,10 +14,12 @@
 //!
 //! * **Completeness of the event set.** The wake cycle is the minimum over
 //!   every threshold that could change any unit's state or its stall
-//!   classification: finite scoreboard ready-cycles of each candidate's
-//!   next op, tensor-core free cycles on schedulers with an MMA candidate,
-//!   the retire-queue head, the earliest outstanding MSHR fill (for
-//!   MSHR-blocked pipes), and the next trace-sample boundary.
+//!   classification: each dep-blocked candidate's finite issue cycle
+//!   ([`WarpCtx::issue_at`], the one cycle its class can flip; a candidate
+//!   waiting on an in-flight load has none, and the load lands on a walked
+//!   tick), tensor-core free cycles on schedulers with a dep-ready MMA
+//!   candidate, the retire-queue head, the earliest outstanding MSHR fill
+//!   (for MSHR-blocked pipes), and the next trace-sample boundary.
 //! * **No side-effecting retries are skipped.** An LDST head that could
 //!   progress — or whose retry has side effects (register-file pressure
 //!   force-retires) — forces the tick-by-tick path; only MSHR-full
@@ -105,10 +107,14 @@ pub struct Sm {
     config: SmConfig,
     cycle: u64,
     warps: Vec<Option<WarpCtx>>,
+    /// Each warp slot's [`WarpCtx::issue_at`], mirrored densely so the
+    /// schedulers and the event wheel test readiness without touching the
+    /// warp; stale for empty slots, which no mask selects.
+    issue_at: Vec<ReadyCycle>,
     /// Empty slots of `warps`.
     free_warps: usize,
-    /// Per-scheduler resident warp slots in launch order, oldest first
-    /// (the GTO order).
+    /// Per-scheduler resident warps in launch order, oldest first (the GTO
+    /// order), each as its bit in the scheduler's masks.
     order: Vec<Vec<usize>>,
     ctas: Vec<Option<CtaState>>,
     /// Empty slots of `ctas`.
@@ -119,7 +125,8 @@ pub struct Sm {
     shared_in_use: u32,
     ldst: Vec<LdstUnit>,
     tc_busy: Vec<Vec<u64>>,
-    last_warp: Vec<Option<usize>>,
+    /// Per-scheduler mask bit of the warp that issued last.
+    last_issued: Vec<Option<usize>>,
     regfile: PhysRegFile,
     hierarchy: MemoryHierarchy,
     detect: Option<DetectionUnit>,
@@ -142,8 +149,6 @@ pub struct Sm {
     skips_taken: u64,
     /// Cycles those fast-forwards covered.
     cycles_skipped: u64,
-    /// Reusable candidate buffer (hoisted out of `tick_scheduler`).
-    cand_scratch: Vec<usize>,
     /// Recycled `Inflight::pregs` vectors.
     preg_pool: Vec<Vec<PhysReg>>,
     /// Recycled `Inflight::tokens` vectors.
@@ -182,19 +187,6 @@ fn classify_stall(stalls: &mut StallBreakdown, blocked: &StallBreakdown, n: u64)
     }
 }
 
-/// Folds one scoreboard entry into a wake computation: clears `ready` when
-/// the register is still pending after `cycle` and records finite ready
-/// cycles as wake events (`u64::MAX` means "unknown until a load lands",
-/// which some other event must resolve first).
-fn dep_event(r: ReadyCycle, cycle: u64, wake: &mut u64, ready: &mut bool) {
-    if r > cycle {
-        *ready = false;
-        if r != u64::MAX {
-            *wake = (*wake).min(r);
-        }
-    }
-}
-
 impl Sm {
     /// Creates an SM for a kernel (programs the detection unit when the
     /// kernel carries a workspace descriptor and the config enables Duplo).
@@ -222,8 +214,9 @@ impl Sm {
             tc_busy: (0..config.schedulers)
                 .map(|_| vec![0u64; config.tensor_cores_per_scheduler()])
                 .collect(),
-            last_warp: vec![None; config.schedulers],
+            last_issued: vec![None; config.schedulers],
             warps: (0..config.max_warps).map(|_| None).collect(),
+            issue_at: vec![u64::MAX; config.max_warps],
             free_warps: config.max_warps,
             order: vec![Vec::new(); config.schedulers],
             ctas: (0..config.max_ctas).map(|_| None).collect(),
@@ -243,7 +236,6 @@ impl Sm {
             progress: false,
             skips_taken: 0,
             cycles_skipped: 0,
-            cand_scratch: Vec::with_capacity(config.max_warps),
             preg_pool: Vec::new(),
             token_pool: Vec::new(),
             run_mask: vec![0; config.schedulers],
@@ -305,10 +297,13 @@ impl Sm {
                 .iter()
                 .position(|w| w.is_none())
                 .expect("checked free slots");
-            self.warps[slot] = Some(WarpCtx::new(wt.ops, cta_slot));
+            let warp = WarpCtx::new(wt.ops, cta_slot);
+            self.issue_at[slot] = warp.issue_at();
+            self.warps[slot] = Some(warp);
             self.free_warps -= 1;
-            self.run_mask[slot % scheds] |= 1 << (slot / scheds);
-            self.order[slot % scheds].push(slot);
+            let (s, b) = (slot % scheds, slot / scheds);
+            self.run_mask[s] |= 1 << b;
+            self.order[s].push(b);
         }
         true
     }
@@ -403,54 +398,44 @@ impl Sm {
         if let Some(&Reverse((when, _))) = self.retire_queue.peek() {
             wake = wake.min(when);
         }
-        // Scheduler candidates: every blocked candidate contributes the
-        // thresholds that could unblock or reclassify it; an issuable
-        // candidate forbids the jump entirely.
+        // Scheduler candidates: a dep-blocked candidate's only threshold is
+        // its issue cycle (unknown while a load is in flight, which the
+        // load's own landing resolves first); a ready candidate that could
+        // issue forbids the jump, and a ready MMA makes the tensor cores'
+        // free cycles thresholds.
         for s in 0..self.config.schedulers {
-            let mut any_mma = false;
+            let mut ready_mma = false;
             let mut m = self.run_mask[s];
             while m != 0 {
                 let b = m.trailing_zeros() as usize;
                 m &= m - 1;
                 let w = b * self.config.schedulers + s;
-                let wc = self.warps[w].as_ref().expect("masked warp resident");
-                let Some(&op) = wc.next_op() else {
-                    continue;
-                };
-                let mut ready = true;
-                for reg in op.srcs().into_iter().chain([op.dst()]).flatten() {
-                    dep_event(wc.ready_at(reg), c, &mut wake, &mut ready);
-                }
-                if matches!(op, Op::Exit) {
-                    // Exit drains the whole scoreboard, not just its own
-                    // operands.
-                    for &r in &wc.pending {
-                        dep_event(r, c, &mut wake, &mut ready);
+                let at = self.issue_at[w];
+                if at > c {
+                    if at != u64::MAX {
+                        wake = wake.min(at);
                     }
+                    continue;
                 }
-                match op {
+                match self.ready_op(w) {
                     Op::WmmaMma { .. } => {
-                        any_mma = true;
-                        if ready && self.tc_busy[s].iter().any(|&busy| busy <= c) {
+                        ready_mma = true;
+                        if self.tc_busy[s].iter().any(|&busy| busy <= c) {
                             return None;
                         }
                     }
                     Op::WmmaLoad { .. } | Op::WmmaStore { .. } | Op::Ld { .. } | Op::St { .. } => {
-                        if ready && self.ldst[s].can_accept() {
+                        if self.ldst[s].can_accept() {
                             return None;
                         }
                         // Ready but queue-full: the queue drains only via
                         // its head, whose wake (MSHR fill) or tick-by-tick
                         // verdict was computed above.
                     }
-                    _ => {
-                        if ready {
-                            return None;
-                        }
-                    }
+                    _ => return None,
                 }
             }
-            if any_mma {
+            if ready_mma {
                 for &busy in &self.tc_busy[s] {
                     if busy > c {
                         wake = wake.min(busy);
@@ -491,24 +476,16 @@ impl Sm {
                 let b = m.trailing_zeros() as usize;
                 m &= m - 1;
                 let w = b * scheds + s;
-                let wc = self.warps[w].as_ref().expect("masked warp resident");
-                let Some(op) = wc.next_op() else {
+                if self.issue_at[w] > c {
                     blocked.data_dependency += 1;
                     continue;
-                };
-                let dep_blocked =
-                    !wc.deps_ready(op, c) || (matches!(op, Op::Exit) && wc.writes_pending(c));
-                if dep_blocked {
-                    blocked.data_dependency += 1;
-                } else {
-                    match op {
-                        Op::WmmaMma { .. } => blocked.tensor_busy += 1,
-                        Op::WmmaLoad { .. }
-                        | Op::WmmaStore { .. }
-                        | Op::Ld { .. }
-                        | Op::St { .. } => blocked.ldst_full += 1,
-                        _ => unreachable!("issuable candidate survived next_wake"),
+                }
+                match self.ready_op(w) {
+                    Op::WmmaMma { .. } => blocked.tensor_busy += 1,
+                    Op::WmmaLoad { .. } | Op::WmmaStore { .. } | Op::Ld { .. } | Op::St { .. } => {
+                        blocked.ldst_full += 1
                     }
+                    _ => unreachable!("issuable candidate survived next_wake"),
                 }
             }
             classify_stall(&mut self.stats.stalls, &blocked, skipped);
@@ -590,8 +567,9 @@ impl Sm {
     }
 
     /// Scheduler `s` tries to issue one instruction (GTO or LRR order).
+    /// Candidates are walked in policy order; one whose issue cycle lies
+    /// ahead costs a compare, and only dep-ready ones decode their op.
     fn tick_scheduler(&mut self, s: usize) {
-        let scheds = self.config.schedulers;
         let run = self.run_mask[s];
         if run == 0 {
             // Attribute the idle slot: a scheduler whose live warps are all
@@ -603,51 +581,44 @@ impl Sm {
             }
             return;
         }
-        let runnable = |w: usize| run & (1 << (w / scheds)) != 0;
-        let mut candidates = std::mem::take(&mut self.cand_scratch);
-        candidates.clear();
-        match self.config.policy {
+        let mut blocked = StallBreakdown::default();
+        let issued = match self.config.policy {
             SchedulerPolicy::Gto => {
                 // Greedy: the last warp to issue goes first while it can
-                // run; then the others oldest first (launch order).
-                let last = self.last_warp[s].filter(|&w| runnable(w));
-                candidates.extend(last);
-                candidates.extend(
-                    self.order[s]
-                        .iter()
-                        .copied()
-                        .filter(|&w| runnable(w) && Some(w) != last),
-                );
+                // run; then the others oldest first (launch order). An
+                // issue ends the walk, so `order` is read by index while
+                // `try_candidate` may retire a warp from it.
+                let last = self.last_issued[s].filter(|&b| run & (1 << b) != 0);
+                last.is_some_and(|b| self.try_candidate(s, b, &mut blocked))
+                    || (0..self.order[s].len()).any(|i| {
+                        let b = self.order[s][i];
+                        run & (1 << b) != 0
+                            && Some(b) != last
+                            && self.try_candidate(s, b, &mut blocked)
+                    })
             }
             SchedulerPolicy::Lrr => {
-                let mut m = run;
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    candidates.push(b * scheds + s);
-                }
-                // Rotate so the warp after the last-issued goes first.
-                if let Some(last) = self.last_warp[s] {
-                    let pivot = candidates.iter().position(|&w| w > last).unwrap_or(0);
-                    candidates.rotate_left(pivot);
-                }
+                // Round robin in slot order, starting after the last warp
+                // to issue: the runnable bits above its bit, then the rest.
+                let (after, rest) = match self.last_issued[s] {
+                    Some(lb) => {
+                        let through = u64::MAX >> (63 - lb);
+                        (run & !through, run & through)
+                    }
+                    None => (run, 0),
+                };
+                [after, rest].into_iter().any(|mut m| {
+                    while m != 0 {
+                        let b = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        if self.try_candidate(s, b, &mut blocked) {
+                            return true;
+                        }
+                    }
+                    false
+                })
             }
-        }
-
-        let mut blocked = StallBreakdown::default();
-        let mut issued = false;
-        for &w in &candidates {
-            match self.try_issue(w, s) {
-                IssueResult::Issued => {
-                    self.last_warp[s] = Some(w);
-                    issued = true;
-                    break;
-                }
-                IssueResult::DepBlocked => blocked.data_dependency += 1,
-                IssueResult::LdstFull => blocked.ldst_full += 1,
-                IssueResult::TensorBusy => blocked.tensor_busy += 1,
-            }
-        }
+        };
         if issued {
             self.progress = true;
         } else {
@@ -655,29 +626,57 @@ impl Sm {
             // cause.
             classify_stall(&mut self.stats.stalls, &blocked, 1);
         }
-        self.cand_scratch = candidates;
     }
 
+    /// Scheduler `s` tries to issue the warp at mask bit `b`; on failure,
+    /// counts why in `blocked`.
+    fn try_candidate(&mut self, s: usize, b: usize, blocked: &mut StallBreakdown) -> bool {
+        let w = b * self.config.schedulers + s;
+        if self.issue_at[w] > self.cycle {
+            blocked.data_dependency += 1;
+            return false;
+        }
+        match self.try_issue(w, s) {
+            IssueResult::Issued => {
+                self.last_issued[s] = Some(b);
+                return true;
+            }
+            IssueResult::LdstFull => blocked.ldst_full += 1,
+            IssueResult::TensorBusy => blocked.tensor_busy += 1,
+        }
+        false
+    }
+
+    /// The next op of resident warp `w`, whose issue cycle has come.
+    fn ready_op(&self, w: usize) -> Op {
+        let wc = self.warps[w].as_ref().expect("masked warp resident");
+        *wc.next_op()
+            .expect("a warp with a finite issue cycle has an op")
+    }
+
+    /// Moves resident warp `w` past the op it just issued.
+    fn advance(&mut self, w: usize) {
+        let wc = self.warps[w].as_mut().expect("exists");
+        wc.advance();
+        self.issue_at[w] = wc.issue_at();
+    }
+
+    /// Issues the next op of warp `w`, whose issue cycle has come, unless
+    /// its functional unit is busy.
     fn try_issue(&mut self, w: usize, s: usize) -> IssueResult {
         let cycle = self.cycle;
-        let op = {
-            let wc = self.warps[w].as_ref().expect("candidate exists");
-            let Some(op) = wc.next_op() else {
-                return IssueResult::DepBlocked;
-            };
-            let op = *op;
-            if !wc.deps_ready(&op, cycle) {
-                return IssueResult::DepBlocked;
-            }
-            op
-        };
+        let op = self.ready_op(w);
+        debug_assert!({
+            let wc = self.warps[w].as_ref().expect("exists");
+            wc.deps_ready(&op, cycle) && !(matches!(op, Op::Exit) && wc.writes_pending(cycle))
+        });
         match op {
             Op::Alu { dst, latency } => {
-                let wc = self.warps[w].as_mut().expect("exists");
                 if let Some(d) = dst {
+                    let wc = self.warps[w].as_mut().expect("exists");
                     wc.mark_pending(d, cycle + u64::from(latency));
                 }
-                wc.pc += 1;
+                self.advance(w);
                 self.stats.issued_other += 1;
                 IssueResult::Issued
             }
@@ -691,7 +690,7 @@ impl Sm {
                 // Accumulator forwarding: chained MMAs sustain the
                 // initiation interval; consumers see the result after ii.
                 wc.mark_pending(d, cycle + ii);
-                wc.pc += 1;
+                self.advance(w);
                 self.stats.issued_mma += 1;
                 IssueResult::Issued
             }
@@ -699,7 +698,7 @@ impl Sm {
                 let wc = self.warps[w].as_mut().expect("exists");
                 wc.at_barrier = true;
                 let cta = wc.cta_slot;
-                wc.pc += 1;
+                self.advance(w);
                 let bit = 1u64 << (w / self.config.schedulers);
                 self.run_mask[s] &= !bit;
                 self.barrier_mask[s] |= bit;
@@ -708,15 +707,8 @@ impl Sm {
                 IssueResult::Issued
             }
             Op::Exit => {
-                // Drain: wait for all pending writes before exiting so that
-                // binding release cannot race in-flight loads.
-                if self.warps[w]
-                    .as_ref()
-                    .expect("exists")
-                    .writes_pending(cycle)
-                {
-                    return IssueResult::DepBlocked;
-                }
+                // The issue cycle of `Exit` waited for every pending write,
+                // so binding release cannot race in-flight loads.
                 self.finish_warp(w);
                 self.stats.issued_other += 1;
                 IssueResult::Issued
@@ -804,11 +796,11 @@ impl Sm {
         if !self.ldst[s].can_accept() {
             return IssueResult::LdstFull;
         }
-        let wc = self.warps[w].as_mut().expect("exists");
         if let Some(d) = dst {
+            let wc = self.warps[w].as_mut().expect("exists");
             wc.mark_pending(d, u64::MAX);
         }
-        wc.pc += 1;
+        self.advance(w);
         self.ldst[s].push(Inflight {
             warp: w,
             kind,
@@ -1117,6 +1109,7 @@ impl Sm {
         if let Some(dst) = infl.dst {
             let wc = self.warps[infl.warp].as_mut().expect("live warp");
             wc.resolve_pending(dst, ready);
+            self.issue_at[infl.warp] = wc.issue_at();
             let old = wc.bind(dst, infl.pregs);
             self.release_into_pool(old);
         } else {
@@ -1141,8 +1134,9 @@ impl Sm {
         let wc = self.warps[w].take().expect("warp exists");
         let s = w % self.config.schedulers;
         self.free_warps += 1;
-        self.run_mask[s] &= !(1u64 << (w / self.config.schedulers));
-        self.order[s].retain(|&x| x != w);
+        let b = w / self.config.schedulers;
+        self.run_mask[s] &= !(1u64 << b);
+        self.order[s].retain(|&x| x != b);
         for pregs in wc.bindings {
             self.release_into_pool(pregs);
         }
@@ -1188,7 +1182,6 @@ impl Sm {
 
 enum IssueResult {
     Issued,
-    DepBlocked,
     LdstFull,
     TensorBusy,
 }

@@ -7,6 +7,12 @@
 //! with one slot per distinct register, indexed by the renamed number. The
 //! renaming keeps register order, and no statistic names a register, so
 //! it changes nothing the simulation reports.
+//!
+//! A warp also caches its *issue cycle* ([`WarpCtx::issue_at`]): the cycle
+//! from which its next op's registers are all ready. It is recomputed only
+//! where the scoreboard or the program counter moves (launch,
+//! [`WarpCtx::advance`], [`WarpCtx::resolve_pending`]), so the schedulers
+//! test readiness with one compare instead of walking the op's operands.
 
 use duplo_core::PhysReg;
 use duplo_isa::{ArchReg, Op};
@@ -34,6 +40,9 @@ pub struct WarpCtx {
     /// Current physical row slots bound to each register slot (empty while
     /// unbound).
     pub(crate) bindings: Vec<Vec<PhysReg>>,
+    /// The cycle from which the op at `pc` has every register it waits on
+    /// ready (see [`WarpCtx::issue_at`]).
+    issue_at: ReadyCycle,
 }
 
 /// The register fields of `op`.
@@ -63,7 +72,7 @@ impl WarpCtx {
             let slot = regs.binary_search(&r.0).expect("collected above");
             r.0 = slot as u16;
         }
-        WarpCtx {
+        let mut warp = WarpCtx {
             ops,
             pc: 0,
             cta_slot,
@@ -71,7 +80,10 @@ impl WarpCtx {
             at_barrier: false,
             pending: vec![0; regs.len()],
             bindings: vec![Vec::new(); regs.len()],
-        }
+            issue_at: 0,
+        };
+        warp.refresh_issue_at();
+        warp
     }
 
     /// The next instruction, if the warp is still running.
@@ -110,15 +122,52 @@ impl WarpCtx {
         self.pending.iter().any(|&r| r > cycle)
     }
 
+    /// The cycle from which the op at `pc` can issue as far as registers
+    /// go: the latest scoreboard entry among its sources and its
+    /// destination (the WAW check), or among all registers for `Exit`,
+    /// which drains the scoreboard. `u64::MAX` while one of those entries
+    /// is an in-flight load, or when no op is left. So for the next op,
+    /// `issue_at() <= cycle` exactly when [`WarpCtx::deps_ready`] holds
+    /// (and, for `Exit`, [`WarpCtx::writes_pending`] does not).
+    ///
+    /// Not refreshed by [`WarpCtx::mark_pending`]: an issue marks its
+    /// destination and then calls [`WarpCtx::advance`], which refreshes.
+    pub fn issue_at(&self) -> ReadyCycle {
+        self.issue_at
+    }
+
+    fn refresh_issue_at(&mut self) {
+        self.issue_at = match self.ops.get(self.pc) {
+            None => u64::MAX,
+            Some(Op::Exit) => self.pending.iter().copied().max().unwrap_or(0),
+            Some(op) => op
+                .srcs()
+                .into_iter()
+                .chain([op.dst()])
+                .flatten()
+                .map(|r| self.ready_at(r))
+                .max()
+                .unwrap_or(0),
+        };
+    }
+
+    /// Moves past the op just issued and refreshes the issue cycle for
+    /// the next one.
+    pub fn advance(&mut self) {
+        self.pc += 1;
+        self.refresh_issue_at();
+    }
+
     /// Marks `reg` pending until `ready`.
     pub fn mark_pending(&mut self, reg: ArchReg, ready: ReadyCycle) {
         self.pending[usize::from(reg.0)] = ready;
     }
 
     /// Resolves a pending write (e.g. a load completing) to a concrete
-    /// cycle.
+    /// cycle, refreshing the issue cycle.
     pub fn resolve_pending(&mut self, reg: ArchReg, ready: ReadyCycle) {
         self.mark_pending(reg, ready);
+        self.refresh_issue_at();
     }
 
     /// Binds `reg` to `pregs`, returning the rows it was bound to before.

@@ -9,7 +9,9 @@
 use duplo_core::LhbConfig;
 use duplo_isa::{ArchReg, CtaTrace, Kernel, Op, Space, WarpTrace, WorkspaceDesc};
 use duplo_mem::HashKind;
-use duplo_sm::{SmConfig, TraceSpec, run_kernel, run_kernel_mode, run_kernel_traced_mode};
+use duplo_sm::{
+    SchedulerPolicy, SmConfig, TraceSpec, run_kernel, run_kernel_mode, run_kernel_traced_mode,
+};
 use duplo_testkit::prop::check;
 use duplo_testkit::{Rng, require, require_eq};
 
@@ -109,6 +111,7 @@ struct Case {
     warps: usize,
     barriers: usize,
     duplo: bool,
+    policy: SchedulerPolicy,
 }
 
 fn arb_case(rng: &mut Rng) -> Option<Case> {
@@ -121,6 +124,7 @@ fn arb_case(rng: &mut Rng) -> Option<Case> {
         warps: rng.gen_range(1usize..5),
         barriers: rng.gen_range(0usize..3),
         duplo: rng.gen_bool(0.5),
+        policy: [SchedulerPolicy::Gto, SchedulerPolicy::Lrr][rng.gen_index(2)],
     })
 }
 
@@ -145,8 +149,8 @@ fn cfg(duplo: bool) -> SmConfig {
 }
 
 /// Every randomly generated kernel yields bit-identical `SmStats` from the
-/// event-driven and the tick-by-tick loop, and the stall-attribution
-/// identity holds in both.
+/// event-driven and the tick-by-tick loop under either scheduler policy,
+/// and the stall-attribution identity holds in both.
 #[test]
 fn event_skip_matches_reference_on_random_kernels() {
     check(
@@ -154,8 +158,12 @@ fn event_skip_matches_reference_on_random_kernels() {
         24,
         arb_case,
         |case| {
-            let event = run_kernel(&fuzz_kernel(case), &[0, 1], cfg(case.duplo));
-            let reference = run_kernel_mode(&fuzz_kernel(case), &[0, 1], cfg(case.duplo), true);
+            let config = SmConfig {
+                policy: case.policy,
+                ..cfg(case.duplo)
+            };
+            let event = run_kernel(&fuzz_kernel(case), &[0, 1], config.clone());
+            let reference = run_kernel_mode(&fuzz_kernel(case), &[0, 1], config, true);
             require!(
                 event == reference,
                 "event-driven stats diverge from reference:\n{event:#?}\nvs\n{reference:#?}"
@@ -248,6 +256,7 @@ fn tracing_does_not_perturb_event_skip_results() {
         warps: 3,
         barriers: 2,
         duplo: true,
+        policy: SchedulerPolicy::Gto,
     };
     let plain = run_kernel(&fuzz_kernel(&case), &[0, 1], cfg(true));
     let (traced, _) = run_kernel_traced_mode(

@@ -51,6 +51,18 @@ for grid in layer_sweep stream_sliced; do
     }
 done
 
+# Archive gate: the full-share registry run must print the published
+# archive byte for byte. The event-vs-reference suites below cannot catch a
+# change to issue order, because both loops share the schedulers; this
+# gate does. The memory-side and loop knobs are unset so the run is the
+# archive's configuration whatever the caller exported.
+echo "== archive: full-share duplo run all matches experiments_full.txt ==" >&2
+cmp <(env -u DUPLO_L2_SLICES -u DUPLO_L2_HASH -u DUPLO_TICK_REFERENCE \
+    target/release/duplo run all --no-cache 2> /dev/null) experiments_full.txt || {
+    echo "duplo run all --no-cache differs from experiments_full.txt" >&2
+    exit 1
+}
+
 # Determinism gate: the parallel experiment engine must render
 # byte-identical tables at any thread count. Run the dedicated suite once
 # with the serial fallback and once with a 4-worker pool.
